@@ -20,7 +20,7 @@ from .geometry import (LayerSpec, ParticleConfiguration, PointProcessParams,
 from .grid import (DtnSpec, Grid, NodeClass, build_grid, choose_n_modes,
                    classify_nodes, dtn_apply, quasi_mode)
 from .assemble import DiscreteSystem, Sources, assemble
-from .solver import SolveOptions, SolveReport, solve
+from .solver import SolveReport, solve
 from .corrector import (C1Estimate, CorrectorConfig, CorrectorSolution, decay_profile,
                         estimate_c1, solve_w1, solve_w2, v1_bottom_trace, v1_field)
 from .scattering import (PlaneWave, ReflectionCoefficient, ScatteringScene,

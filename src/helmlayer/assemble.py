@@ -3,8 +3,8 @@
 Five-point second-order interior stencil, one-sided second-order bottom
 Robin/Neumann rows, identity rows on particle nodes, and a truncated modal
 map coupling the whole top line. The modal term is kept out of the sparse
-"local" matrix and applied through lateral FFTs; direct solvers either
-materialize it densely (small grids) or append one auxiliary unknown per
+"local" matrix and applied through lateral FFTs; the direct solver either
+materializes it densely (small grids) or appends one auxiliary unknown per
 retained mode (large grids), both algebraically identical.
 
 Flattened node index: idx(i, j) = j*nx + i, so the top line is the final
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import ShapeMismatch, UnsnappedInterface
 from .grid import DtnSpec, Grid, NodeClass, dtn_multipliers
@@ -86,9 +85,6 @@ class DiscreteSystem:
         y[self.top] += self.dtn_block_apply(x[self.top])
         return y
 
-    def operator(self) -> LinearOperator:
-        return LinearOperator((self.n, self.n), matvec=self.matvec, dtype=complex)
-
     def residual(self, x: np.ndarray) -> float:
         """Relative residual of a candidate solution."""
         scale = np.linalg.norm(self.rhs)
@@ -138,13 +134,6 @@ class DiscreteSystem:
         full = (local_ext + coupling + analysis + eye_aux).tocsc()
         rhs_ext = np.concatenate([self.rhs, np.zeros(n_aux, dtype=complex)])
         return full, rhs_ext, n_aux
-
-    def dump_coo(self, path) -> None:
-        """Debug dump in coordinate text format: row col re im (one per line)."""
-        mat = self.materialize().tocoo() if self.grid.nx <= 512 else self.bordered()[0].tocoo()
-        with open(path, "w", newline="\n") as fh:
-            for r, c, v in zip(mat.row, mat.col, mat.data):
-                fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
 def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,

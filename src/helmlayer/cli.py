@@ -32,7 +32,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out", type=str, default=None, help="override output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker pool size for the c1 and sweep commands")
     parser.add_argument("--recompute-c1", action="store_true",
                         help="ignore the cached c1 value")
     parser.add_argument("command", choices=COMMANDS)
@@ -104,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"fitted rates: order1 {report.fitted_rate_order1:.3f}, "
                       f"order2 {report.fitted_rate_order2:.3f} (c1={report.c1_used:.4f})")
         elif args.command == "validate":
-            checks = run_validate(config, threads=args.threads)
+            checks = run_validate(config)
             failed = 0
             for check in checks:
                 status = "PASS" if check.passed else "FAIL"

@@ -9,6 +9,7 @@ W2 is the complex companion problem forced through the bottom Neumann data.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .assemble import Sources, assemble
 from .errors import NoConvergence, NumericalFailure, ShapeMismatch, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
 from .grid import DtnSpec, Grid, NodeClass, build_grid, choose_n_modes, classify_nodes
-from .solver import SolveOptions, SolveReport, solve
+from .solver import SolveReport, solve
 
 W1_IMAG_TOL = 1e-10
 
@@ -143,8 +144,7 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
     }
 
 
-def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration,
-             opts: SolveOptions | None = None) -> CorrectorSolution:
+def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSolution:
     """Solve the unit-flux-jump corrector on one realization.
 
     Laplace in the cell minus particles, homogeneous Neumann at the bottom,
@@ -159,7 +159,7 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration,
     system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
                       quasi_momentum=0.0,
                       sources=Sources(flux_jump_height=h_snap, flux_jump_value=1.0))
-    x, report = solve(system, opts)
+    x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
     imag_max = float(np.abs(fld.imag).max())
@@ -179,7 +179,7 @@ def v1_bottom_trace(w1: CorrectorSolution) -> np.ndarray:
 
 
 def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
-             v1_bottom: np.ndarray, opts: SolveOptions | None = None) -> CorrectorSolution:
+             v1_bottom: np.ndarray) -> CorrectorSolution:
     """Solve the complex companion corrector forced through the bottom line.
 
     Inhomogeneous Neumann data -i k gamma V1 at the bottom, no jump, same
@@ -194,7 +194,7 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     psi = -1j * cfg.k * cfg.gamma * np.asarray(v1_bottom, dtype=complex)
     system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
                       quasi_momentum=0.0, sources=Sources(bottom_neumann=psi))
-    x, report = solve(system, opts)
+    x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
     trace = fld[-1].copy()
@@ -214,8 +214,16 @@ def v1_field(w1: CorrectorSolution, c1: float) -> np.ndarray:
     return out
 
 
+def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n-1)] in index order, on `threads` worker threads when > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n)))
+    return [fn(j) for j in range(n)]
+
+
 def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
-                threads: int = 1, opts: SolveOptions | None = None) -> C1Estimate:
+                threads: int = 1) -> C1Estimate:
     """Monte-Carlo mean of the W1 trace average over independent realizations.
 
     Realization j always uses the RNG stream keyed by (master_seed, j), so
@@ -228,15 +236,11 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     def one(j: int) -> float | None:
         config = sample_matern(cfg.process, cfg.layer, master_seed, stream=j)
         try:
-            return solve_w1(cfg, config, opts).trace_mean
+            return solve_w1(cfg, config).trace_mean
         except (SingularSystem, NoConvergence):
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(one, range(n_samples)))
-    else:
-        raw = [one(j) for j in range(n_samples)]
+    raw = map_realizations(one, n_samples, threads)
 
     values = [v for v in raw if v is not None]
     n_fail = n_samples - len(values)

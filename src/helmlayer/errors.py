@@ -34,7 +34,7 @@ class SingularSystem(HelmlayerError):
 
 
 class NoConvergence(HelmlayerError):
-    """Iterative solve hit its iteration cap before reaching tolerance."""
+    """Direct solve with iterative refinement stayed above the residual tolerance."""
 
 
 class ShapeMismatch(HelmlayerError):

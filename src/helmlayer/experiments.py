@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +18,13 @@ import numpy as np
 
 from . import __version__
 from .corrector import (C1Estimate, CorrectorConfig, decay_profile, estimate_c1,
-                        export_c1_history, export_decay_profile, solve_w1)
+                        export_c1_history, export_decay_profile, map_realizations,
+                        solve_w1)
 from .errors import (ConfigError, DegenerateFit, HelmlayerError, NoConvergence,
                      NumericalFailure, PassivityViolation, ResolutionTooCoarse,
                      SingularSystem)
 from .geometry import LayerSpec, PointProcessParams, sample_matern
-from .grid import DtnSpec, build_grid, dtn_apply, quasi_mode
+from .grid import DtnSpec, dtn_apply, quasi_mode
 from .scattering import (PlaneWave, ScatteringScene, effective_reflection,
                          export_field_csv, extract_reflection, farfield_reflection,
                          reference_solve, robin_halfspace_reflection)
@@ -319,11 +319,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
             except SAMPLE_FAILURES as exc:
                 return ("fail", f"eps={_eps:g} sample={j}: {exc}")
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, range(config.n_samples)))
-        else:
-            results = [one(j) for j in range(config.n_samples)]
+        results = map_realizations(one, config.n_samples, threads)
         values = [v for status, v in results if status == "ok"]
         failures.extend(msg for status, msg in results if status == "fail")
         if len(values) < 0.9 * config.n_samples:
@@ -371,7 +367,7 @@ class CheckResult:
     detail: str
 
 
-def run_validate(config: ExperimentConfig, threads: int = 1) -> list[CheckResult]:
+def run_validate(config: ExperimentConfig) -> list[CheckResult]:
     """Analytic-oracle suite; every check carries its module tolerance."""
     checks: list[CheckResult] = []
 
@@ -507,7 +503,7 @@ def run_reference(config: ExperimentConfig) -> tuple[Path, complex]:
                             L=epsilon * config.H + config.dtn_gap, config=realization)
     dx = _sweep_grid_dx(config, epsilon)
     fld, refl = reference_solve(scene, config.wave, dx, dtn_eta=config.dtn_eta)
-    grid = build_field_grid(scene, dx)
+    grid = scene.grid(dx)
     tag = f"eps{epsilon:g}"
     path = out / f"field_{tag}.csv"
     export_field_csv(fld, grid, path)
@@ -515,8 +511,3 @@ def run_reference(config: ExperimentConfig) -> tuple[Path, complex]:
                                      "r_ref": [refl.value.real, refl.value.imag]}),
                 out / "provenance.json")
     return path, refl.value
-
-
-def build_field_grid(scene: ScatteringScene, target_dx: float):
-    return build_grid(scene.period, scene.L, target_dx,
-                      interface_heights=(scene.epsilon * scene.H,))

@@ -19,7 +19,7 @@ from .assemble import Sources, assemble
 from .errors import PassivityViolation, ResolutionTooCoarse, ShapeMismatch
 from .geometry import LayerSpec, ParticleConfiguration
 from .grid import DtnSpec, Grid, build_grid, choose_n_modes, classify_nodes
-from .solver import SolveOptions, solve
+from .solver import solve
 
 PASSIVITY_SLACK = 1e-6
 MIN_NODES_PER_DIAMETER = 8
@@ -88,6 +88,11 @@ class ScatteringScene:
         if not self.epsilon * self.layer.h < self.epsilon * self.H < self.L:
             raise ValueError("need eps*h < eps*H < L")
 
+    def grid(self, target_dx: float) -> Grid:
+        """Reference grid on the period cell, snapped to the plane at epsilon*H."""
+        return build_grid(self.period, self.L, target_dx,
+                          interface_heights=(self.epsilon * self.H,))
+
     def wrap_phase(self, wave: PlaneWave) -> complex:
         """Recorded quasi-periodicity phase exp(i k1 T)."""
         return complex(np.exp(1j * wave.k1 * self.period))
@@ -113,8 +118,7 @@ def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
 
 
 def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
-                    dtn_eta: float = 1e-6, opts: SolveOptions | None = None,
-                    ) -> tuple[np.ndarray, ReflectionCoefficient]:
+                    dtn_eta: float = 1e-6) -> tuple[np.ndarray, ReflectionCoefficient]:
     """Solve the reference problem and extract the reflection coefficient.
 
     Robin at the bottom with coefficient i k gamma, Dirichlet on the scaled
@@ -128,8 +132,7 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
         raise ResolutionTooCoarse(
             f"target_dx={target_dx} exceeds {min_dx} (8 nodes per particle diameter)"
         )
-    grid = build_grid(scene.period, scene.L, target_dx,
-                      interface_heights=(scene.epsilon * scene.H,))
+    grid = scene.grid(target_dx)
     tags = classify_nodes(grid, scene.config, scale=scene.epsilon)
     gap = grid.top - scene.epsilon * scene.H
     n_modes = choose_n_modes("helmholtz_quasiperiodic", wave.k, wave.k1,
@@ -142,7 +145,7 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
     system = assemble(grid, tags, problem_kind="helmholtz", bottom="robin", dtn=dtn,
                       quasi_momentum=wave.k1, k=wave.k, gamma=scene.gamma,
                       sources=Sources(top_forcing=forcing))
-    sol, _ = solve(system, opts)
+    sol, _ = solve(system)
     fld = sol.reshape(grid.ny, grid.nx)
     refl = extract_reflection(fld[-1], wave, grid.top, scene.period)
     if scene.gamma.real > 0 and refl.magnitude > 1.0 + PASSIVITY_SLACK:

@@ -1,16 +1,16 @@
-"""Direct and iterative solves of the assembled complex systems.
+"""Direct SuperLU solve of the assembled complex systems.
 
-direct_lu factorizes the full operator: for small lateral node counts the
-modal top block is materialized densely into the sparse matrix; for larger
-grids the identical system is solved in bordered form (one auxiliary
-unknown per retained mode), which keeps memory linear. gmres applies the
-modal block matrix-free and is preconditioned by a factorization of the
-local (modal-free) part when that part is regular.
+The modal top block enters the factorized matrix in one of two algebraically
+identical forms: for small lateral node counts with mostly active modes it is
+materialized densely into the sparse matrix; otherwise the system is solved in
+bordered form (one auxiliary unknown per retained mode), which keeps memory
+linear. Up to two steps of iterative refinement against the exact matrix-free
+operator bring the residual under TOL. A vanishing pivot or a constant kernel
+raises SingularSystem; a residual that stays above TOL raises NoConvergence.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,31 +22,12 @@ from .errors import NoConvergence, SingularSystem
 
 MATERIALIZE_MAX_NX = 512
 PIVOT_RTOL = 1e-12
-_GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(spla.gmres).parameters else "tol"
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    method: str = "direct_lu"
-    tol: float = 1e-10
-    max_iter: int = 2000
-    restart: int = 100
-
-    def __post_init__(self) -> None:
-        if self.method not in ("direct_lu", "gmres"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+TOL = 1e-10
 
 
 @dataclass
 class SolveReport:
     residual: float
-    iterations: int
-    singular_flag: bool = False
-    condition_hint: float | None = None
 
 
 def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
@@ -56,15 +37,14 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
 
-def _pivot_guard(lu: spla.SuperLU, matrix: sp.csc_matrix) -> float:
-    """Raise on a numerically vanishing pivot; return a condition hint."""
+def _pivot_guard(lu: spla.SuperLU, matrix: sp.csc_matrix) -> None:
+    """Raise on a numerically vanishing pivot."""
     pivots = np.abs(lu.U.diagonal())
     diag_scale = float(np.abs(matrix.diagonal()).max())
     if pivots.min() < PIVOT_RTOL * diag_scale:
         raise SingularSystem(
             f"near-zero pivot {pivots.min():.3e} against diagonal scale {diag_scale:.3e}"
         )
-    return float(pivots.max() / pivots.min())
 
 
 def _kernel_check(system: DiscreteSystem) -> bool:
@@ -72,18 +52,6 @@ def _kernel_check(system: DiscreteSystem) -> bool:
     ones = np.ones(system.n, dtype=complex) / np.sqrt(system.n)
     scale = float(np.abs(system.local.diagonal()).max())
     return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
-
-
-def solve(system: DiscreteSystem, opts: SolveOptions | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve the system to opts.tol relative residual.
-
-    Raises SingularSystem on rank deficiency (never returns a garbage
-    vector) and NoConvergence when the iteration cap is hit.
-    """
-    opts = opts or SolveOptions()
-    if opts.method == "direct_lu":
-        return _solve_direct(system, opts)
-    return _solve_gmres(system, opts)
 
 
 def _use_materialized(system: DiscreteSystem) -> bool:
@@ -94,52 +62,31 @@ def _use_materialized(system: DiscreteSystem) -> bool:
     return n_active * 2 >= system.grid.nx
 
 
-def _solve_direct(system: DiscreteSystem, opts: SolveOptions) -> tuple[np.ndarray, SolveReport]:
+def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
+    """Solve the system to TOL relative residual.
+
+    Raises SingularSystem on rank deficiency (never returns a garbage
+    vector) and NoConvergence when refinement leaves the residual above TOL.
+    """
     if _use_materialized(system):
         matrix = system.materialize()
         rhs = system.rhs
     else:
         matrix, rhs, _ = system.bordered()
     lu = _factorize(matrix)
-    hint = _pivot_guard(lu, matrix)
+    _pivot_guard(lu, matrix)
     x_ext = lu.solve(rhs)
     x = x_ext[: system.n]
     res = system.residual(x)
     for _ in range(2):  # iterative refinement against the exact operator
-        if res <= opts.tol:
+        if res <= TOL:
             break
         r_ext = np.zeros_like(rhs)
         r_ext[: system.n] = system.rhs - system.matvec(x)
         x = x + lu.solve(r_ext)[: system.n]
         res = system.residual(x)
-    if res > opts.tol:
+    if res > TOL:
         if _kernel_check(system):
             raise SingularSystem(f"constant kernel detected, residual {res:.3e}")
-        raise NoConvergence(f"direct residual {res:.3e} above tol {opts.tol:.1e}")
-    return x, SolveReport(residual=res, iterations=1, condition_hint=hint)
-
-
-def _solve_gmres(system: DiscreteSystem, opts: SolveOptions) -> tuple[np.ndarray, SolveReport]:
-    precond = None
-    local_singular = False
-    try:
-        local_lu = _factorize(system.local.tocsc())
-        _pivot_guard(local_lu, system.local.tocsc())
-        precond = spla.LinearOperator((system.n, system.n), matvec=local_lu.solve, dtype=complex)
-    except SingularSystem:
-        local_singular = True
-    count = {"it": 0}
-
-    def _cb(_):
-        count["it"] += 1
-
-    kwargs = {_GMRES_TOL_KW: opts.tol, "atol": 0.0, "restart": opts.restart,
-              "maxiter": opts.max_iter, "M": precond,
-              "callback": _cb, "callback_type": "pr_norm"}
-    x, info = spla.gmres(system.operator(), system.rhs, **kwargs)
-    res = system.residual(x)
-    if info != 0 or res > opts.tol:
-        if local_singular or _kernel_check(system):
-            raise SingularSystem(f"stagnation with kernel detected, residual {res:.3e}")
-        raise NoConvergence(f"gmres stopped at residual {res:.3e} (info={info})")
-    return x, SolveReport(residual=res, iterations=count["it"])
+        raise NoConvergence(f"direct residual {res:.3e} above tol {TOL:.1e}")
+    return x, SolveReport(residual=res)

@@ -111,12 +111,3 @@ def test_bordered_matches_matrix_free():
     assert np.abs((full @ ext)[system.n:]).max() < 1e-12
     out = (full @ ext)[: system.n]
     assert np.abs(out - system.matvec(x)).max() < 1e-10
-
-
-def test_coo_dump_format(tmp_path):
-    _, system = _laplace_neumann_system()
-    path = tmp_path / "matrix.txt"
-    system.dump_coo(path)
-    line = path.read_text().splitlines()[0].split()
-    assert len(line) == 4
-    int(line[0]), int(line[1]), float(line[2]), float(line[3])

@@ -189,10 +189,9 @@ def test_farfield_order2_consistency_slope():
 def test_field_export(tmp_path):
     scene = _empty_scene()
     fld, _ = reference_solve(scene, WAVE, 2.0 * math.pi / 32.0)
-    from helmlayer.experiments import build_field_grid
     from helmlayer.scattering import export_field_csv
 
-    grid = build_field_grid(scene, 2.0 * math.pi / 32.0)
+    grid = scene.grid(2.0 * math.pi / 32.0)
     path = tmp_path / "field.csv"
     export_field_csv(fld, grid, path)
     lines = path.read_text().splitlines()
