@@ -7,6 +7,15 @@ map coupling the whole top line. The modal term is kept out of the sparse
 materializes it densely (small grids) or appends one auxiliary unknown per
 retained mode (large grids), both algebraically identical.
 
+A Laplace problem with a Neumann bottom, zero quasi-momentum and the
+periodic-Laplace closure has a real operator: no i k gamma Robin term, no
+seam phase, and real multipliers even in the mode index m. It is assembled
+in float64, and its modal coupling uses real cos/sin modes (one cos and one
+sin unknown per pair +-m, a single cos unknown for m = 0 and the Nyquist
+mode) in place of the complex DFT. Every other problem is complex128. The
+right-hand side takes the result type of the operator and the source data,
+so a complex source on a real operator (the W2 corrector) stays complex.
+
 Flattened node index: idx(i, j) = j*nx + i, so the top line is the final
 contiguous block of unknowns.
 """
@@ -67,6 +76,11 @@ class DiscreteSystem:
             self.phase = np.exp(1j * alpha * self.grid.x_nodes()) if alpha != 0.0 else np.ones(nx)
 
     @property
+    def real(self) -> bool:
+        """True for a float64 operator, whose multipliers are real and even in m."""
+        return not np.iscomplexobj(self.local)
+
+    @property
     def n(self) -> int:
         return self.grid.n_nodes
 
@@ -76,8 +90,11 @@ class DiscreteSystem:
 
     def dtn_block_apply(self, trace: np.ndarray) -> np.ndarray:
         """Modal map Lambda applied to a top-line trace."""
-        if len(trace) != self.grid.nx:
+        nx = self.grid.nx
+        if len(trace) != nx:
             raise ShapeMismatch("trace length does not match the grid")
+        if self.real and not np.iscomplexobj(trace):
+            return np.fft.irfft(self.multipliers.real[: nx // 2 + 1] * np.fft.rfft(trace), n=nx)
         return self.phase * np.fft.ifft(self.multipliers * np.fft.fft(trace / self.phase))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -102,26 +119,52 @@ class DiscreteSystem:
     def materialize(self) -> sp.csc_matrix:
         """Full sparse matrix with the modal block merged into the top rows."""
         block = self.dtn_dense_block()
+        if self.real:
+            block = block.real
         n, nx = self.n, self.grid.nx
         rows = np.repeat(np.arange(n - nx, n), nx)
         cols = np.tile(np.arange(n - nx, n), nx)
         dense = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n))
         return (self.local + dense.tocsr()).tocsc()
 
+    def _cos_sin_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real basis of the retained modes of a real operator.
+
+        Returns (basis, weights): basis rows are cos(2 pi m i / nx) for every
+        retained 0 <= m <= nx/2, then sin(2 pi m i / nx) for 0 < m < nx/2;
+        Lambda u = sum_k weights_k basis_k (basis_k . u) / nx, where a pair
+        +-m carries twice its multiplier.
+        """
+        nx = self.grid.nx
+        lam = self.multipliers.real[: nx // 2 + 1]
+        m = np.flatnonzero(lam)
+        paired = (m > 0) & (2 * m < nx)
+        theta = 2.0 * np.pi * np.outer(m, np.arange(nx)) / nx
+        basis = np.concatenate([np.cos(theta), np.sin(theta[paired])])
+        weights = np.concatenate([np.where(paired, 2.0, 1.0) * lam[m], 2.0 * lam[m[paired]]])
+        return basis, weights
+
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Exact bordered form with one auxiliary unknown per retained mode.
 
-        Aux m holds the DFT coefficient of the de-phased top trace; top rows
-        gain synthesis entries lambda_m phase_i exp(2 pi i m i / nx), aux rows
-        enforce the analysis. Returns (matrix, extended rhs, n_aux).
+        Complex operators: aux m holds the DFT coefficient of the de-phased
+        top trace; top rows gain synthesis entries lambda_m phase_i
+        exp(2 pi i m i / nx), aux rows enforce the analysis. Real operators:
+        aux k holds the cos or sin coefficient (basis_k . u_top) / nx and top
+        rows gain weights_k basis_k(i), so the matrix stays float64 with the
+        same number of auxiliary unknowns. Returns (matrix, extended rhs, n_aux).
         """
         nx, n = self.grid.nx, self.n
-        active = np.flatnonzero(self.multipliers != 0.0)
-        n_aux = len(active)
-        i_idx = np.arange(nx)
-        twiddle = np.exp(2j * np.pi * np.outer(i_idx, active) / nx)
-        syn = (self.multipliers[active][None, :] * twiddle) * self.phase[:, None]
-        ana = twiddle.conj().T / (nx * self.phase[None, :])
+        if self.real:
+            basis, weights = self._cos_sin_modes()
+            syn = basis.T * weights[None, :]
+            ana = basis / nx
+        else:
+            active = np.flatnonzero(self.multipliers != 0.0)
+            twiddle = np.exp(2j * np.pi * np.outer(np.arange(nx), active) / nx)
+            syn = (self.multipliers[active][None, :] * twiddle) * self.phase[:, None]
+            ana = twiddle.conj().T / (nx * self.phase[None, :])
+        n_aux = len(ana)
         top_rows = np.repeat(np.arange(n - nx, n), n_aux)
         aux_cols = np.tile(np.arange(n, n + n_aux), nx)
         coupling = sp.coo_matrix((syn.ravel(), (top_rows, aux_cols)), shape=(n + n_aux, n + n_aux))
@@ -132,7 +175,7 @@ class DiscreteSystem:
                                 shape=(n + n_aux, n + n_aux))
         local_ext = sp.bmat([[self.local, None], [None, sp.csr_matrix((n_aux, n_aux))]], format="coo")
         full = (local_ext + coupling + analysis + eye_aux).tocsc()
-        rhs_ext = np.concatenate([self.rhs, np.zeros(n_aux, dtype=complex)])
+        rhs_ext = np.concatenate([self.rhs, np.zeros(n_aux, dtype=self.rhs.dtype)])
         return full, rhs_ext, n_aux
 
 
@@ -148,6 +191,10 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     dtn : top-line modal closure; the Laplace kind assembles du/dy + Lambda u,
         the Helmholtz kind -du/dy + Lambda u (outgoing convention).
     quasi_momentum : lateral phase alpha; seam couplings carry exp(+-i alpha width).
+
+    The operator is float64 for a Laplace problem with a Neumann bottom, zero
+    quasi-momentum and the periodic-Laplace closure, complex128 otherwise;
+    the rhs takes the result type of the operator and the given sources.
     """
     if problem_kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
@@ -158,24 +205,31 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     if tags.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("tag array does not match the grid")
     sources = sources or Sources()
+    real = (problem_kind == "laplace" and bottom == "neumann" and quasi_momentum == 0.0
+            and dtn.kind == "laplace_periodic")
+    dtype = np.float64 if real else np.complex128
+    data = [sources.volume, sources.bottom_neumann, sources.top_forcing]
+    if sources.flux_jump_height is not None:
+        data.append(sources.flux_jump_value)
+    rhs_dtype = np.result_type(dtype, *(np.asarray(d) for d in data if d is not None))
     nx, ny = grid.nx, grid.ny
     n = nx * ny
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
     alpha = quasi_momentum
-    wrap_plus = np.exp(1j * alpha * grid.width)
-    wrap_minus = np.exp(-1j * alpha * grid.width)
+    wrap_plus = np.exp(1j * alpha * grid.width) if alpha != 0.0 else 1.0
+    wrap_minus = np.exp(-1j * alpha * grid.width) if alpha != 0.0 else 1.0
     flat_tags = tags.ravel()
     dirichlet = flat_tags == NodeClass.PARTICLE_DIRICHLET
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(n, dtype=rhs_dtype)
 
     def add(r: np.ndarray, c: np.ndarray, v: np.ndarray) -> None:
         rows.append(np.asarray(r, dtype=np.int64))
         cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=complex))
+        vals.append(np.asarray(v, dtype=dtype))
 
     # identity rows on particle nodes
     dir_idx = np.flatnonzero(dirichlet)
@@ -187,17 +241,17 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     free = ~dirichlet[ridx]
     ridx, jjf, iif = ridx[free], jj.ravel()[free], ii.ravel()[free]
     center = 2.0 / dx2 + 2.0 / dy2 - (k * k if problem_kind == "helmholtz" else 0.0)
-    add(ridx, ridx, np.full(len(ridx), center, dtype=complex))
+    add(ridx, ridx, np.full(len(ridx), center, dtype=dtype))
     left = np.mod(iif - 1, nx) + jjf * nx
     lv = np.where(iif == 0, -wrap_minus / dx2, -1.0 / dx2)
     add(ridx, left, lv)
     right = np.mod(iif + 1, nx) + jjf * nx
     rv = np.where(iif == nx - 1, -wrap_plus / dx2, -1.0 / dx2)
     add(ridx, right, rv)
-    add(ridx, ridx - nx, np.full(len(ridx), -1.0 / dy2, dtype=complex))
-    add(ridx, ridx + nx, np.full(len(ridx), -1.0 / dy2, dtype=complex))
+    add(ridx, ridx - nx, np.full(len(ridx), -1.0 / dy2, dtype=dtype))
+    add(ridx, ridx + nx, np.full(len(ridx), -1.0 / dy2, dtype=dtype))
     if sources.volume is not None:
-        vol = np.asarray(sources.volume, dtype=complex)
+        vol = np.asarray(sources.volume, dtype=rhs_dtype)
         if vol.shape != (ny, nx):
             raise ShapeMismatch("volume source does not match the grid")
         rhs[ridx] = vol.ravel()[ridx]
@@ -212,11 +266,11 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     b_idx = np.arange(nx)
     b_free = b_idx[~dirichlet[b_idx]]
     d0 = 1.5 / grid.dy + (1j * k * gamma if bottom == "robin" else 0.0)
-    add(b_free, b_free, np.full(len(b_free), d0, dtype=complex))
-    add(b_free, b_free + nx, np.full(len(b_free), -2.0 / grid.dy, dtype=complex))
-    add(b_free, b_free + 2 * nx, np.full(len(b_free), 0.5 / grid.dy, dtype=complex))
+    add(b_free, b_free, np.full(len(b_free), d0, dtype=dtype))
+    add(b_free, b_free + nx, np.full(len(b_free), -2.0 / grid.dy, dtype=dtype))
+    add(b_free, b_free + 2 * nx, np.full(len(b_free), 0.5 / grid.dy, dtype=dtype))
     if sources.bottom_neumann is not None:
-        psi = np.asarray(sources.bottom_neumann, dtype=complex)
+        psi = np.asarray(sources.bottom_neumann, dtype=rhs_dtype)
         if len(psi) != nx:
             raise ShapeMismatch("bottom Neumann data does not match the grid")
         rhs[b_free] = psi[b_free]
@@ -225,11 +279,11 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     # the modal term Lambda u is applied matrix-free / materialized separately
     s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
     t_idx = (ny - 1) * nx + np.arange(nx)
-    add(t_idx, t_idx, np.full(nx, s * 1.5 / grid.dy, dtype=complex))
-    add(t_idx, t_idx - nx, np.full(nx, s * -2.0 / grid.dy, dtype=complex))
-    add(t_idx, t_idx - 2 * nx, np.full(nx, s * 0.5 / grid.dy, dtype=complex))
+    add(t_idx, t_idx, np.full(nx, s * 1.5 / grid.dy, dtype=dtype))
+    add(t_idx, t_idx - nx, np.full(nx, s * -2.0 / grid.dy, dtype=dtype))
+    add(t_idx, t_idx - 2 * nx, np.full(nx, s * 0.5 / grid.dy, dtype=dtype))
     if sources.top_forcing is not None:
-        g = np.asarray(sources.top_forcing, dtype=complex)
+        g = np.asarray(sources.top_forcing, dtype=rhs_dtype)
         if len(g) != nx:
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g

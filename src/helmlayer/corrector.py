@@ -21,8 +21,6 @@ from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, samp
 from .grid import DtnSpec, Grid, NodeClass, build_grid, choose_n_modes, classify_nodes
 from .solver import SolveReport, solve
 
-W1_IMAG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CorrectorConfig:
@@ -149,8 +147,9 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
 
     Laplace in the cell minus particles, homogeneous Neumann at the bottom,
     homogeneous Dirichlet on particles, unit flux jump across the interface
-    line, periodic-Laplace modal closure at the top. An empty realization
-    propagates SingularSystem (the injected flux has no outlet).
+    line, periodic-Laplace modal closure at the top. The operator and the
+    data are real, so the field is float64. An empty realization propagates
+    SingularSystem (the injected flux has no outlet).
     """
     grid = cfg.cell_grid()
     tags = classify_nodes(grid, config, scale=1.0)
@@ -162,10 +161,7 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
-    imag_max = float(np.abs(fld.imag).max())
-    if imag_max > W1_IMAG_TOL:
-        raise NumericalFailure(f"W1 picked up imaginary part {imag_max:.3e}")
-    trace = fld[-1].real.copy()
+    trace = fld[-1].copy()
     flux = _flux_balance(fld, tags, grid, injected=grid.width)
     return CorrectorSolution(field=fld, trace_L=trace, trace_mean=float(trace.mean()),
                              flux_report=flux, kind="W1", grid=grid, tags=tags,
@@ -183,7 +179,8 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     """Solve the complex companion corrector forced through the bottom line.
 
     Inhomogeneous Neumann data -i k gamma V1 at the bottom, no jump, same
-    Dirichlet particles and top closure as W1. The trace average is the
+    Dirichlet particles and top closure as W1. The operator is W1's real one;
+    only the data and the field are complex. The trace average is the
     per-realization sample of c2.
     """
     grid = cfg.cell_grid()

@@ -1,4 +1,10 @@
-"""Direct SuperLU solve of the assembled complex systems.
+"""Direct SuperLU solve of the assembled systems, real or complex.
+
+SuperLU factors whatever dtype the assembly produced: real Laplace operators
+(the W1 and W2 correctors) in float64, with their modal block in a real
+cos/sin basis, and Helmholtz operators in complex128. A complex right-hand
+side on a real factor (W2's Neumann data) is solved by one call on the
+two-column real right-hand side [Re, Im].
 
 The modal top block enters the factorized matrix in one of two algebraically
 identical forms: for small lateral node counts with mostly active modes it is
@@ -35,7 +41,13 @@ TOL = 1e-10
 
 @dataclass
 class SolveReport:
+    """What one solve did: final residual, path, auxiliary modes, dtype, fill."""
+
     residual: float
+    path: str  # "materialized" or "bordered"
+    n_aux: int
+    dtype: str  # of the factored matrix, "float64" or "complex128"
+    fill_nnz: int  # entries SuperLU stores for L and U
 
 
 def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
@@ -46,9 +58,17 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
 
+def _lu_solve(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """lu.solve(b), taking a complex b on a real factor as one [Re, Im] solve."""
+    if np.iscomplexobj(b) and not np.iscomplexobj(matrix):
+        re_im = lu.solve(np.column_stack([b.real, b.imag]))
+        return re_im[:, 0] + 1j * re_im[:, 1]
+    return lu.solve(b)
+
+
 def _kernel_check(system: DiscreteSystem) -> bool:
     """True when the constant vector is numerically in the kernel."""
-    ones = np.ones(system.n, dtype=complex) / np.sqrt(system.n)
+    ones = np.ones(system.n) / np.sqrt(system.n)
     scale = float(np.abs(system.local.diagonal()).max())
     return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
 
@@ -68,23 +88,22 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
     vector) and NoConvergence when refinement leaves the residual above TOL.
     """
     if _use_materialized(system):
-        matrix = system.materialize()
-        rhs = system.rhs
+        path, matrix, rhs, n_aux = "materialized", system.materialize(), system.rhs, 0
     else:
-        matrix, rhs, _ = system.bordered()
+        path = "bordered"
+        matrix, rhs, n_aux = system.bordered()
     lu = _factorize(matrix)
-    x_ext = lu.solve(rhs)
-    x = x_ext[: system.n]
+    x = _lu_solve(lu, matrix, rhs)[: system.n]
     res = system.residual(x)
     for _ in range(2):  # iterative refinement against the exact operator
         if res <= TOL:
             break
-        r_ext = np.zeros_like(rhs)
-        r_ext[: system.n] = system.rhs - system.matvec(x)
-        x = x + lu.solve(r_ext)[: system.n]
+        r_ext = np.concatenate([system.rhs - system.matvec(x), np.zeros(n_aux)])
+        x = x + _lu_solve(lu, matrix, r_ext)[: system.n]
         res = system.residual(x)
     if not res <= TOL:  # also catches a NaN residual
         if _kernel_check(system):
             raise SingularSystem(f"constant kernel detected, residual {res:.3e}")
         raise NoConvergence(f"direct residual {res:.3e} above tol {TOL:.1e}")
-    return x, SolveReport(residual=res)
+    return x, SolveReport(residual=res, path=path, n_aux=n_aux, dtype=matrix.dtype.name,
+                          fill_nnz=lu.nnz)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,3 +112,66 @@ def test_bordered_matches_matrix_free():
     assert np.abs((full @ ext)[system.n:]).max() < 1e-12
     out = (full @ ext)[: system.n]
     assert np.abs(out - system.matvec(x)).max() < 1e-10
+
+
+def _w1_type_system(width, dx, n_modes):
+    grid = build_grid(width, 8.0, dx, interface_heights=(4.0,))
+    tags = classify_nodes(grid, None)
+    dtn = DtnSpec(kind="laplace_periodic", n_modes=n_modes)
+    return assemble(grid, tags, "laplace", "neumann", dtn, sources=Sources(flux_jump_height=4.0))
+
+
+def _modal_part_of_bordered(system, x):
+    """Top-line modal term of the bordered form, its aux unknowns eliminated by hand."""
+    full, _, n_aux = system.bordered()
+    aux = -(full[system.n:, :system.n] @ x)
+    out = full @ np.concatenate([x, aux])
+    return (out[: system.n] - system.local @ x)[system.top], n_aux
+
+
+@pytest.mark.parametrize("width, n_modes", [
+    (10.0, 6),   # nx 50
+    (9.8, 6),    # nx 49
+    (10.0, 25),  # nx 50, the Nyquist mode m = 25 retained
+    (9.8, 24),   # nx 49, every mode retained
+])
+def test_real_cos_sin_border_matches_complex_dft(width, n_modes):
+    system = _w1_type_system(width, 0.2, n_modes)
+    assert system.local.dtype == np.float64
+    cast = dataclasses.replace(system, local=system.local.astype(complex),
+                               rhs=system.rhs.astype(complex))
+    x = np.random.default_rng(8).normal(size=system.n)
+    real_border, n_aux = _modal_part_of_bordered(system, x)
+    dft_border, n_aux_dft = _modal_part_of_bordered(cast, x)
+    assert n_aux == n_aux_dft == int(np.count_nonzero(system.multipliers))
+    rfft_apply = system.dtn_block_apply(x[system.top])  # real trace: rfft/irfft
+    dft_apply = cast.dtn_block_apply(x[system.top])
+    scale = np.linalg.norm(dft_apply)
+    for other in (real_border, dft_border, rfft_apply):
+        assert np.linalg.norm(other - dft_apply) <= 1e-12 * scale
+    assert real_border.dtype == rfft_apply.dtype == np.float64
+
+
+def test_operator_dtype_follows_the_problem():
+    grid = build_grid(10.0, 8.0, 0.2, interface_heights=(4.0,))
+    tags = classify_nodes(grid, None)
+    lap = DtnSpec(kind="laplace_periodic", n_modes=6)
+    w1 = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(flux_jump_height=4.0))
+    assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
+    psi = np.full(grid.nx, 1.0 - 1.0j)
+    w2 = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(bottom_neumann=psi))
+    assert (w2.local.dtype, w2.rhs.dtype) == (np.float64, np.complex128)
+    assert np.array_equal(w2.rhs[: grid.nx], psi)
+    k, k1 = 1.0, math.sin(math.pi / 4.0)
+    complex_systems = [
+        assemble(grid, tags, "helmholtz", "robin",
+                 DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1),
+                 quasi_momentum=k1, k=k, gamma=1 + 1j),
+        assemble(grid, tags, "helmholtz", "neumann",
+                 DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k), k=k),
+        assemble(grid, tags, "laplace", "robin", lap, k=k, gamma=1 + 1j),
+        assemble(grid, tags, "laplace", "neumann", lap, quasi_momentum=0.3),
+    ]
+    for system in complex_systems:
+        assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)
+        assert system.bordered()[0].dtype == np.complex128
