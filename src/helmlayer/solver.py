@@ -88,7 +88,8 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
     vector) and NoConvergence when refinement leaves the residual above TOL.
     """
     if _use_materialized(system):
-        path, matrix, rhs, n_aux = "materialized", system.materialize(), system.rhs, 0
+        path, n_aux = "materialized", 0
+        matrix, rhs = system.materialize(), system.rhs
     else:
         path = "bordered"
         matrix, rhs, n_aux = system.bordered()
