@@ -7,14 +7,13 @@ map coupling the whole top line. The modal term is kept out of the sparse
 materializes it densely (small grids) or appends one auxiliary unknown per
 retained mode (large grids), both algebraically identical.
 
-A Laplace problem with a Neumann bottom, zero quasi-momentum and the
-periodic-Laplace closure has a real operator: no i k gamma Robin term, no
-seam phase, and real multipliers even in the mode index m. It is assembled
-in float64, and its modal coupling uses real cos/sin modes (one cos and one
-sin unknown per pair +-m, a single cos unknown for m = 0 and the Nyquist
-mode) in place of the complex DFT. Every other problem is complex128. The
-right-hand side takes the result type of the operator and the source data,
-so a complex source on a real operator (the W2 corrector) stays complex.
+A Laplace problem with a Neumann bottom, zero quasi-momentum, the
+periodic-Laplace closure and real source data (the W1 corrector) is real:
+no i k gamma Robin term, no seam phase, and real multipliers even in the
+mode index m. It is assembled in float64, and its modal coupling uses real
+cos/sin modes (one cos and one sin unknown per pair +-m, a single cos
+unknown for m = 0 and the Nyquist mode) in place of the complex DFT. Every
+other system, W2 with its complex Neumann data included, is complex128.
 
 Flattened node index: idx(i, j) = j*nx + i, so the top line is the final
 contiguous block of unknowns.
@@ -192,9 +191,9 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
         the Helmholtz kind -du/dy + Lambda u (outgoing convention).
     quasi_momentum : lateral phase alpha; seam couplings carry exp(+-i alpha width).
 
-    The operator is float64 for a Laplace problem with a Neumann bottom, zero
-    quasi-momentum and the periodic-Laplace closure, complex128 otherwise;
-    the rhs takes the result type of the operator and the given sources.
+    Operator and rhs are float64 for a Laplace problem with a Neumann bottom,
+    zero quasi-momentum, the periodic-Laplace closure and real sources, and
+    complex128 otherwise.
     """
     if problem_kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
@@ -205,13 +204,13 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     if tags.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("tag array does not match the grid")
     sources = sources or Sources()
-    real = (problem_kind == "laplace" and bottom == "neumann" and quasi_momentum == 0.0
-            and dtn.kind == "laplace_periodic")
-    dtype = np.float64 if real else np.complex128
     data = [sources.volume, sources.bottom_neumann, sources.top_forcing]
     if sources.flux_jump_height is not None:
         data.append(sources.flux_jump_value)
-    rhs_dtype = np.result_type(dtype, *(np.asarray(d) for d in data if d is not None))
+    data_type = np.result_type(np.float64, *(np.asarray(d) for d in data if d is not None))
+    real = (problem_kind == "laplace" and bottom == "neumann" and quasi_momentum == 0.0
+            and dtn.kind == "laplace_periodic" and data_type == np.float64)
+    dtype = np.float64 if real else np.complex128
     nx, ny = grid.nx, grid.ny
     n = nx * ny
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
@@ -224,7 +223,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    rhs = np.zeros(n, dtype=rhs_dtype)
+    rhs = np.zeros(n, dtype=dtype)
 
     def add(r: np.ndarray, c: np.ndarray, v: np.ndarray) -> None:
         rows.append(np.asarray(r, dtype=np.int64))
@@ -251,7 +250,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     add(ridx, ridx - nx, np.full(len(ridx), -1.0 / dy2, dtype=dtype))
     add(ridx, ridx + nx, np.full(len(ridx), -1.0 / dy2, dtype=dtype))
     if sources.volume is not None:
-        vol = np.asarray(sources.volume, dtype=rhs_dtype)
+        vol = np.asarray(sources.volume, dtype=dtype)
         if vol.shape != (ny, nx):
             raise ShapeMismatch("volume source does not match the grid")
         rhs[ridx] = vol.ravel()[ridx]
@@ -270,7 +269,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     add(b_free, b_free + nx, np.full(len(b_free), -2.0 / grid.dy, dtype=dtype))
     add(b_free, b_free + 2 * nx, np.full(len(b_free), 0.5 / grid.dy, dtype=dtype))
     if sources.bottom_neumann is not None:
-        psi = np.asarray(sources.bottom_neumann, dtype=rhs_dtype)
+        psi = np.asarray(sources.bottom_neumann, dtype=dtype)
         if len(psi) != nx:
             raise ShapeMismatch("bottom Neumann data does not match the grid")
         rhs[b_free] = psi[b_free]
@@ -283,7 +282,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     add(t_idx, t_idx - nx, np.full(nx, s * -2.0 / grid.dy, dtype=dtype))
     add(t_idx, t_idx - 2 * nx, np.full(nx, s * 0.5 / grid.dy, dtype=dtype))
     if sources.top_forcing is not None:
-        g = np.asarray(sources.top_forcing, dtype=rhs_dtype)
+        g = np.asarray(sources.top_forcing, dtype=dtype)
         if len(g) != nx:
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g

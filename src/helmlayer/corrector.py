@@ -179,9 +179,8 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     """Solve the complex companion corrector forced through the bottom line.
 
     Inhomogeneous Neumann data -i k gamma V1 at the bottom, no jump, same
-    Dirichlet particles and top closure as W1. The operator is W1's real one;
-    only the data and the field are complex. The trace average is the
-    per-realization sample of c2.
+    Dirichlet particles and top closure as W1; the complex data makes the
+    system complex128. The trace average is the per-realization sample of c2.
     """
     grid = cfg.cell_grid()
     if len(v1_bottom) != grid.nx:

@@ -1,10 +1,9 @@
 """Direct SuperLU solve of the assembled systems, real or complex.
 
-SuperLU factors whatever dtype the assembly produced: real Laplace operators
-(the W1 and W2 correctors) in float64, with their modal block in a real
-cos/sin basis, and Helmholtz operators in complex128. A complex right-hand
-side on a real factor (W2's Neumann data) is solved by one call on the
-two-column real right-hand side [Re, Im].
+SuperLU factors in the common dtype of the operator and the right-hand side:
+float64 for the real W1 corrector, whose modal block the assembly writes in a
+real cos/sin basis, and complex128 for every other system (W2, the Helmholtz
+problems, and a complex right-hand side a caller put on a real system).
 
 The modal top block enters the factorized matrix in one of two algebraically
 identical forms: for small lateral node counts with mostly active modes it is
@@ -41,13 +40,7 @@ TOL = 1e-10
 
 @dataclass
 class SolveReport:
-    """What one solve did: final residual, path, auxiliary modes, dtype, fill."""
-
     residual: float
-    path: str  # "materialized" or "bordered"
-    n_aux: int
-    dtype: str  # of the factored matrix, "float64" or "complex128"
-    fill_nnz: int  # entries SuperLU stores for L and U
 
 
 def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
@@ -56,14 +49,6 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystem(f"factorization failed: {exc}") from exc
-
-
-def _lu_solve(lu: spla.SuperLU, matrix: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """lu.solve(b), taking a complex b on a real factor as one [Re, Im] solve."""
-    if np.iscomplexobj(b) and not np.iscomplexobj(matrix):
-        re_im = lu.solve(np.column_stack([b.real, b.imag]))
-        return re_im[:, 0] + 1j * re_im[:, 1]
-    return lu.solve(b)
 
 
 def _kernel_check(system: DiscreteSystem) -> bool:
@@ -88,23 +73,23 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
     vector) and NoConvergence when refinement leaves the residual above TOL.
     """
     if _use_materialized(system):
-        path, n_aux = "materialized", 0
-        matrix, rhs = system.materialize(), system.rhs
+        matrix = system.materialize()
+        rhs = system.rhs
     else:
-        path = "bordered"
-        matrix, rhs, n_aux = system.bordered()
-    lu = _factorize(matrix)
-    x = _lu_solve(lu, matrix, rhs)[: system.n]
+        matrix, rhs, _ = system.bordered()
+    lu = _factorize(matrix.astype(np.result_type(matrix.dtype, rhs.dtype), copy=False))
+    x_ext = lu.solve(rhs)
+    x = x_ext[: system.n]
     res = system.residual(x)
     for _ in range(2):  # iterative refinement against the exact operator
         if res <= TOL:
             break
-        r_ext = np.concatenate([system.rhs - system.matvec(x), np.zeros(n_aux)])
-        x = x + _lu_solve(lu, matrix, r_ext)[: system.n]
+        r_ext = np.zeros_like(rhs)
+        r_ext[: system.n] = system.rhs - system.matvec(x)
+        x = x + lu.solve(r_ext)[: system.n]
         res = system.residual(x)
     if not res <= TOL:  # also catches a NaN residual
         if _kernel_check(system):
             raise SingularSystem(f"constant kernel detected, residual {res:.3e}")
         raise NoConvergence(f"direct residual {res:.3e} above tol {TOL:.1e}")
-    return x, SolveReport(residual=res, path=path, n_aux=n_aux, dtype=matrix.dtype.name,
-                          fill_nnz=lu.nnz)
+    return x, SolveReport(residual=res)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -78,8 +77,11 @@ def test_symmetric_ordering_cuts_fill(small_realization):
     assert solver._factorize(matrix).nnz <= 0.7 * spla.splu(matrix).nnz
 
 
-def _coarse_reference_solve(small_process, monkeypatch, k_dx):
-    """(system, x, report) of one reference solve at 8 nodes per scaled diameter."""
+@pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
+def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, k_dx):
+    # coarsest reference grid (8 nodes per scaled diameter); k*dx at the
+    # wavelength/40 grid rule and just below 2, where the interior diagonal
+    # 4/dx^2 - k^2 of the diagonally pivoted factor changes sign
     layer = LayerSpec(h=5.0, delta=0.05, width=40.0)
     eps = 0.4
     dx = 2.0 * eps / 8.0
@@ -95,50 +97,11 @@ def _coarse_reference_solve(small_process, monkeypatch, k_dx):
 
     monkeypatch.setattr(scattering, "solve", recording_solve)
     reference_solve(scene, PlaneWave(k=k_dx / dx, theta=math.pi / 4.0), dx)
-    (out,) = solved
-    return out
-
-
-@pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
-def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, k_dx):
-    # coarsest reference grid; k*dx at the wavelength/40 grid rule and just
-    # below 2, where the interior diagonal 4/dx^2 - k^2 of the diagonally
-    # pivoted factor changes sign
-    system, x, report = _coarse_reference_solve(small_process, monkeypatch, k_dx)
+    (system, x, report), = solved
     assert report.residual <= solver.TOL
     matrix, rhs = _factor_input(system)
     x_default = spla.splu(matrix).solve(rhs)[: system.n]
     assert np.linalg.norm(x - x_default) <= 1e-9 * np.linalg.norm(x_default)
-
-
-def test_solve_report_describes_the_solve(small_process, monkeypatch):
-    # the c1_mc cell: width 20, default H and L_cell, 9 retained modes a side
-    layer = LayerSpec(h=5.0, delta=0.05, width=20.0)
-    cfg = CorrectorConfig(layer=layer, process=small_process)
-    report = solve_w1(cfg, sample_matern(small_process, layer, 1)).solve_report
-    assert (report.path, report.dtype, report.n_aux) == ("bordered", "float64", 18)
-    system, _, report = _coarse_reference_solve(small_process, monkeypatch, 2.0 * math.pi / 40.0)
-    assert report.dtype == "complex128"
-    expected_path = "materialized" if solver._use_materialized(system) else "bordered"
-    assert report.path == expected_path
-    matrix, _ = _factor_input(system)
-    assert report.n_aux == matrix.shape[0] - system.n
-    assert report.fill_nnz == solver._factorize(matrix).nnz
-
-
-def test_complex_rhs_on_real_factor_matches_complex_solve(small_realization):
-    # W2-type system: W1's real operator, complex bottom Neumann data
-    w1 = _w1_system(small_realization)
-    re, im = np.random.default_rng(3).normal(size=(2, w1.grid.nx))
-    psi = re + 1j * im
-    system = assemble(w1.grid, w1.tags, "laplace", "neumann", w1.dtn,
-                      sources=Sources(bottom_neumann=psi))
-    cast = dataclasses.replace(system, local=system.local.astype(complex))
-    x, report = solve(system)
-    x_cast, report_cast = solve(cast)
-    assert (report.dtype, report_cast.dtype) == ("float64", "complex128")
-    assert x.dtype == np.complex128
-    assert np.linalg.norm(x - x_cast) <= 1e-12 * np.linalg.norm(x_cast)
 
 
 def test_manufactured_solution_recovered(small_realization):
