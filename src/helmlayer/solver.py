@@ -53,7 +53,7 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
 
 def _kernel_check(system: DiscreteSystem) -> bool:
     """True when the constant vector is numerically in the kernel."""
-    ones = np.ones(system.n) / np.sqrt(system.n)
+    ones = np.ones(system.n, dtype=complex) / np.sqrt(system.n)
     scale = float(np.abs(system.local.diagonal()).max())
     return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
 
