@@ -2,18 +2,20 @@
 
 Five-point second-order interior stencil, one-sided second-order bottom
 Robin/Neumann rows, identity rows on particle nodes, and a truncated modal
-map coupling the whole top line. The modal term is kept out of the sparse
-"local" matrix and applied through lateral FFTs; the direct solver either
-materializes it densely (small grids) or appends one auxiliary unknown per
-retained mode (large grids), both algebraically identical.
+map coupling the whole top line. The quasi-momentum alpha (seam phase and
+modal map alike) is the closure's DtnSpec.k1. The modal term is kept out of
+the sparse "local" matrix. The exact operator (matvec, residual) applies it
+through lateral FFTs (grid.dtn_apply); the factored forms write it from one
+mode basis (DiscreteSystem.modes), either merged densely into the top rows
+(materialize) or as one auxiliary unknown per retained mode (bordered).
 
-A Laplace problem with a Neumann bottom, zero quasi-momentum, the
-periodic-Laplace closure and real source data (the W1 corrector) is real:
-no i k gamma Robin term, no seam phase, and real multipliers even in the
-mode index m. It is assembled in float64, and its modal coupling uses real
-cos/sin modes (one cos and one sin unknown per pair +-m, a single cos
-unknown for m = 0 and the Nyquist mode) in place of the complex DFT. Every
-other system, W2 with its complex Neumann data included, is complex128.
+A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
+quasi-momentum) and real source data (the W1 corrector) is real: no i k
+gamma Robin term, no seam phase, and real multipliers even in the mode
+index m. It is assembled in float64, and its mode basis is real cos/sin
+(one cos and one sin mode per pair +-m, a single cos mode for m = 0 and the
+Nyquist mode) in place of the phased DFT. Every other system, W2 with its
+complex Neumann data included, is complex128.
 
 Flattened node index: idx(i, j) = j*nx + i, so the top line is the final
 contiguous block of unknowns.
@@ -21,13 +23,13 @@ contiguous block of unknowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatch, UnsnappedInterface
-from .grid import DtnSpec, Grid, NodeClass, dtn_multipliers
+from .grid import DtnSpec, Grid, NodeClass, dtn_apply, dtn_multipliers
 
 PROBLEM_KINDS = ("laplace", "helmholtz")
 BOTTOM_KINDS = ("neumann", "robin")
@@ -53,26 +55,15 @@ class Sources:
 
 @dataclass
 class DiscreteSystem:
-    """Assembled sparse operator plus the matrix-free modal top coupling."""
+    """Assembled sparse operator plus the modal top coupling (quasi-momentum dtn.k1)."""
 
     local: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid
     tags: np.ndarray
     dtn: DtnSpec
-    quasi_momentum: float
     problem_kind: str
     bottom: str
-    multipliers: np.ndarray = field(repr=False, default=None)
-    phase: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        nx = self.grid.nx
-        if self.multipliers is None:
-            self.multipliers = dtn_multipliers(self.dtn, self.grid.width, nx)
-        if self.phase is None:
-            alpha = self.quasi_momentum
-            self.phase = np.exp(1j * alpha * self.grid.x_nodes()) if alpha != 0.0 else np.ones(nx)
 
     @property
     def real(self) -> bool:
@@ -87,18 +78,11 @@ class DiscreteSystem:
     def top(self) -> slice:
         return slice(self.n - self.grid.nx, self.n)
 
-    def dtn_block_apply(self, trace: np.ndarray) -> np.ndarray:
-        """Modal map Lambda applied to a top-line trace."""
-        nx = self.grid.nx
-        if len(trace) != nx:
-            raise ShapeMismatch("trace length does not match the grid")
-        if self.real and not np.iscomplexobj(trace):
-            return np.fft.irfft(self.multipliers.real[: nx // 2 + 1] * np.fft.rfft(trace), n=nx)
-        return self.phase * np.fft.ifft(self.multipliers * np.fft.fft(trace / self.phase))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Exact operator: the sparse part plus the modal map through lateral FFTs."""
         y = self.local @ x
-        y[self.top] += self.dtn_block_apply(x[self.top])
+        modal = dtn_apply(self.dtn, self.grid.width, x[self.top])
+        y[self.top] += modal if np.iscomplexobj(y) else modal.real
         return y
 
     def residual(self, x: np.ndarray) -> float:
@@ -108,61 +92,50 @@ class DiscreteSystem:
             scale = 1.0
         return float(np.linalg.norm(self.matvec(x) - self.rhs) / scale)
 
-    def dtn_dense_block(self) -> np.ndarray:
-        """Materialized nx-by-nx modal block (synthesis * diag * analysis)."""
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Retained modes of the top-line map: Lambda u = synthesis @ (analysis @ u).
+
+        Returns synthesis (nx x n_aux, multipliers included) and analysis
+        (n_aux x nx), one column/row per retained mode. Real operators use
+        cos(2 pi m i / nx) for every retained 0 <= m <= nx/2 and then
+        sin(2 pi m i / nx) for 0 < m < nx/2, a pair +-m carrying twice its
+        multiplier; complex operators use the DFT of the trace de-phased by
+        exp(i alpha x).
+        """
         nx = self.grid.nx
-        cols = np.fft.fft(np.diag(1.0 / self.phase), axis=0)
-        block = np.fft.ifft(self.multipliers[:, None] * cols, axis=0)
-        return self.phase[:, None] * block
+        lam = dtn_multipliers(self.dtn, self.grid.width, nx)
+        i = np.arange(nx)
+        if self.real:
+            lam = lam.real[: nx // 2 + 1]
+            m = np.flatnonzero(lam)
+            paired = (m > 0) & (2 * m < nx)
+            theta = 2.0 * np.pi * np.outer(m, i) / nx
+            basis = np.concatenate([np.cos(theta), np.sin(theta[paired])])
+            weights = np.concatenate([np.where(paired, 2.0, 1.0) * lam[m], 2.0 * lam[m[paired]]])
+            return basis.T * weights[None, :], basis / nx
+        m = np.flatnonzero(lam)
+        phase = np.exp(1j * self.dtn.k1 * self.grid.x_nodes())
+        twiddle = np.exp(2j * np.pi * np.outer(i, m) / nx)
+        return (lam[m][None, :] * twiddle) * phase[:, None], twiddle.conj().T / (nx * phase[None, :])
 
     def materialize(self) -> sp.csc_matrix:
-        """Full sparse matrix with the modal block merged into the top rows."""
-        block = self.dtn_dense_block()
-        if self.real:
-            block = block.real
+        """Full sparse matrix with the dense modal block merged into the top rows."""
+        synthesis, analysis = self.modes()
         n, nx = self.n, self.grid.nx
         rows = np.repeat(np.arange(n - nx, n), nx)
         cols = np.tile(np.arange(n - nx, n), nx)
-        dense = sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n))
+        dense = sp.coo_matrix(((synthesis @ analysis).ravel(), (rows, cols)), shape=(n, n))
         return (self.local + dense.tocsr()).tocsc()
-
-    def _cos_sin_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real basis of the retained modes of a real operator.
-
-        Returns (basis, weights): basis rows are cos(2 pi m i / nx) for every
-        retained 0 <= m <= nx/2, then sin(2 pi m i / nx) for 0 < m < nx/2;
-        Lambda u = sum_k weights_k basis_k (basis_k . u) / nx, where a pair
-        +-m carries twice its multiplier.
-        """
-        nx = self.grid.nx
-        lam = self.multipliers.real[: nx // 2 + 1]
-        m = np.flatnonzero(lam)
-        paired = (m > 0) & (2 * m < nx)
-        theta = 2.0 * np.pi * np.outer(m, np.arange(nx)) / nx
-        basis = np.concatenate([np.cos(theta), np.sin(theta[paired])])
-        weights = np.concatenate([np.where(paired, 2.0, 1.0) * lam[m], 2.0 * lam[m[paired]]])
-        return basis, weights
 
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Exact bordered form with one auxiliary unknown per retained mode.
 
-        Complex operators: aux m holds the DFT coefficient of the de-phased
-        top trace; top rows gain synthesis entries lambda_m phase_i
-        exp(2 pi i m i / nx), aux rows enforce the analysis. Real operators:
-        aux k holds the cos or sin coefficient (basis_k . u_top) / nx and top
-        rows gain weights_k basis_k(i), so the matrix stays float64 with the
-        same number of auxiliary unknowns. Returns (matrix, extended rhs, n_aux).
+        Aux k holds the analysis coefficient of the top trace: top rows gain
+        the synthesis entries, aux rows enforce the analysis, so a real
+        operator gives a float64 matrix. Returns (matrix, extended rhs, n_aux).
         """
         nx, n = self.grid.nx, self.n
-        if self.real:
-            basis, weights = self._cos_sin_modes()
-            syn = basis.T * weights[None, :]
-            ana = basis / nx
-        else:
-            active = np.flatnonzero(self.multipliers != 0.0)
-            twiddle = np.exp(2j * np.pi * np.outer(np.arange(nx), active) / nx)
-            syn = (self.multipliers[active][None, :] * twiddle) * self.phase[:, None]
-            ana = twiddle.conj().T / (nx * self.phase[None, :])
+        syn, ana = self.modes()
         n_aux = len(ana)
         top_rows = np.repeat(np.arange(n - nx, n), n_aux)
         aux_cols = np.tile(np.arange(n, n + n_aux), nx)
@@ -179,8 +152,7 @@ class DiscreteSystem:
 
 
 def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
-             dtn: DtnSpec, quasi_momentum: float = 0.0, k: float = 0.0,
-             gamma: complex = 0.0, sources: Sources | None = None) -> DiscreteSystem:
+             dtn: DtnSpec, k: float = 0.0, gamma: complex = 0.0, sources: Sources | None = None) -> DiscreteSystem:
     """Assemble the discrete system for one boundary-value problem.
 
     Parameters
@@ -188,12 +160,12 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     problem_kind : "laplace" or "helmholtz" (adds -k^2 on the diagonal).
     bottom : "neumann" or "robin"; the Robin row is -du/dy + i k gamma u = 0.
     dtn : top-line modal closure; the Laplace kind assembles du/dy + Lambda u,
-        the Helmholtz kind -du/dy + Lambda u (outgoing convention).
-    quasi_momentum : lateral phase alpha; seam couplings carry exp(+-i alpha width).
+        the Helmholtz kind -du/dy + Lambda u (outgoing convention). Its k1 is
+        the quasi-momentum alpha: seam couplings carry exp(+-i alpha width).
 
     Operator and rhs are float64 for a Laplace problem with a Neumann bottom,
-    zero quasi-momentum, the periodic-Laplace closure and real sources, and
-    complex128 otherwise.
+    the periodic-Laplace closure (so zero quasi-momentum) and real sources,
+    and complex128 otherwise.
     """
     if problem_kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
@@ -208,13 +180,13 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     if sources.flux_jump_height is not None:
         data.append(sources.flux_jump_value)
     data_type = np.result_type(np.float64, *(np.asarray(d) for d in data if d is not None))
-    real = (problem_kind == "laplace" and bottom == "neumann" and quasi_momentum == 0.0
+    real = (problem_kind == "laplace" and bottom == "neumann"
             and dtn.kind == "laplace_periodic" and data_type == np.float64)
     dtype = np.float64 if real else np.complex128
     nx, ny = grid.nx, grid.ny
     n = nx * ny
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
-    alpha = quasi_momentum
+    alpha = dtn.k1
     wrap_plus = np.exp(1j * alpha * grid.width) if alpha != 0.0 else 1.0
     wrap_minus = np.exp(-1j * alpha * grid.width) if alpha != 0.0 else 1.0
     flat_tags = tags.ravel()
@@ -275,7 +247,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
         rhs[b_free] = psi[b_free]
 
     # top rows: s*du/dy with s = +1 (laplace closure) or -1 (helmholtz closure);
-    # the modal term Lambda u is applied matrix-free / materialized separately
+    # the modal term Lambda u is added by matvec and by the factored forms
     s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
     t_idx = (ny - 1) * nx + np.arange(nx)
     add(t_idx, t_idx, np.full(nx, s * 1.5 / grid.dy, dtype=dtype))
@@ -292,4 +264,4 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
         shape=(n, n),
     ).tocsr()
     return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn,
-                          quasi_momentum=alpha, problem_kind=problem_kind, bottom=bottom)
+                          problem_kind=problem_kind, bottom=bottom)

@@ -156,7 +156,6 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     dtn = _laplace_dtn(cfg, grid)
     h_snap = grid.snaps[0].snapped
     system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
-                      quasi_momentum=0.0,
                       sources=Sources(flux_jump_height=h_snap, flux_jump_value=1.0))
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
@@ -189,7 +188,7 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     dtn = _laplace_dtn(cfg, grid)
     psi = -1j * cfg.k * cfg.gamma * np.asarray(v1_bottom, dtype=complex)
     system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
-                      quasi_momentum=0.0, sources=Sources(bottom_neumann=psi))
+                      sources=Sources(bottom_neumann=psi))
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -275,9 +276,23 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
     return est
 
 
-def _sweep_grid_dx(config: ExperimentConfig, epsilon: float) -> float:
+def _epsilon_window(config: ExperimentConfig,
+                    epsilon: float) -> tuple[dict, Callable[[int], ScatteringScene]]:
+    """Reference window at epsilon: its grid record (dx, L, sampling width) and
+    scene(stream), the ScatteringScene of realization `stream` in the window."""
+    period = config.layer.width
     wavelength = 2.0 * math.pi / config.wave.k
-    return min(2.0 * epsilon / config.nodes_per_diameter, wavelength / 40.0)
+    window = {"dx": min(2.0 * epsilon / config.nodes_per_diameter, wavelength / 40.0),
+              "L": epsilon * config.H + config.dtn_gap, "sampling_width": period / epsilon}
+    layer = LayerSpec(h=config.layer.h, delta=config.layer.delta,
+                      width=window["sampling_width"], periodic=True)
+
+    def scene(stream: int) -> ScatteringScene:
+        realization = sample_matern(config.process, layer, config.master_seed, stream=stream)
+        return ScatteringScene(epsilon=epsilon, H=config.H, layer=layer, gamma=config.gamma,
+                               period=period, L=window["L"], config=realization)
+
+    return window, scene
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = None,
@@ -295,24 +310,16 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
     if c1 is None:
         c1, _ = obtain_c1(config, threads=threads, recompute=recompute_c1)
     wave = config.wave
-    period = config.layer.width
     rows: list[SweepRow] = []
     failures: list[str] = []
     grids_used = {}
     for epsilon in config.epsilon_list:
-        layer_eps = LayerSpec(h=config.layer.h, delta=config.layer.delta,
-                              width=period / epsilon, periodic=True)
-        dx = _sweep_grid_dx(config, epsilon)
-        L = epsilon * config.H + config.dtn_gap
+        window, scene_of = _epsilon_window(config, epsilon)
         r1 = effective_reflection(1, wave, epsilon, config.H).value
         r2 = effective_reflection(2, wave, epsilon, config.H, c1).value
 
-        def one(j: int, _eps=epsilon, _layer=layer_eps, _dx=dx, _L=L):
-            realization = sample_matern(config.process, _layer,
-                                        config.master_seed, stream=j)
-            scene = ScatteringScene(epsilon=_eps, H=config.H, layer=_layer,
-                                    gamma=config.gamma, period=period, L=_L,
-                                    config=realization)
+        def one(j: int, _eps=epsilon, _scene_of=scene_of, _dx=window["dx"]):
+            scene = _scene_of(j)
             try:
                 _, refl = reference_solve(scene, wave, _dx, dtn_eta=config.dtn_eta)
                 return ("ok", refl.value)
@@ -332,8 +339,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
         std2 = float(err2.std(ddof=1)) if len(values) > 1 else 0.0
         rows.append(SweepRow(float(epsilon), float(err1.mean()), std1,
                              float(err2.mean()), std2, len(values)))
-        grids_used[repr(float(epsilon))] = {"dx": dx, "L": L,
-                                            "sampling_width": period / epsilon}
+        grids_used[repr(float(epsilon))] = window
     rates: dict = {}
     rate1 = rate2 = None
     if len(rows) >= 3:
@@ -494,19 +500,11 @@ def run_reference(config: ExperimentConfig) -> tuple[Path, complex]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     epsilon = config.epsilon_list[0]
-    period = config.layer.width
-    layer_eps = LayerSpec(h=config.layer.h, delta=config.layer.delta,
-                          width=period / epsilon, periodic=True)
-    realization = sample_matern(config.process, layer_eps, config.master_seed, stream=0)
-    scene = ScatteringScene(epsilon=epsilon, H=config.H, layer=layer_eps,
-                            gamma=config.gamma, period=period,
-                            L=epsilon * config.H + config.dtn_gap, config=realization)
-    dx = _sweep_grid_dx(config, epsilon)
-    fld, refl = reference_solve(scene, config.wave, dx, dtn_eta=config.dtn_eta)
-    grid = scene.grid(dx)
-    tag = f"eps{epsilon:g}"
-    path = out / f"field_{tag}.csv"
-    export_field_csv(fld, grid, path)
+    window, scene_of = _epsilon_window(config, epsilon)
+    scene = scene_of(0)
+    fld, refl = reference_solve(scene, config.wave, window["dx"], dtn_eta=config.dtn_eta)
+    path = out / f"field_eps{epsilon:g}.csv"
+    export_field_csv(fld, scene.grid(window["dx"]), path)
     _write_json(_provenance(config, {"epsilon": epsilon,
                                      "r_ref": [refl.value.real, refl.value.imag]}),
                 out / "provenance.json")

@@ -148,10 +148,12 @@ DTN_KINDS = ("laplace_periodic", "helmholtz_quasiperiodic")
 class DtnSpec:
     """Truncated modal boundary closure on the top line.
 
-    laplace_periodic: eigenvalues lambda_m = 2|m|pi/width on periodic modes.
+    laplace_periodic: eigenvalues lambda_m = 2|m|pi/width on periodic modes
+    (k1 must be 0).
     helmholtz_quasiperiodic: beta_m^2 = k^2 - (2 m pi/width + k1)^2; the top
     row keeps outgoing propagating modes (-i beta_m) and vertically decaying
     evanescent modes (-sqrt(...)).
+    k1 is the quasi-momentum of the assembled system, seam phase included.
     """
 
     kind: str
@@ -167,6 +169,8 @@ class DtnSpec:
             raise InvalidDtnSpec("n_modes must be >= 0")
         if self.kind == "helmholtz_quasiperiodic" and self.k <= 0:
             raise InvalidDtnSpec("helmholtz closure needs k > 0")
+        if self.kind == "laplace_periodic" and self.k1 != 0.0:
+            raise InvalidDtnSpec("the periodic Laplace closure has no quasi-momentum k1")
 
 
 def choose_n_modes(dtn_kind: str, k: float, k1: float, width: float, gap: float,
@@ -235,7 +239,7 @@ def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray,
     trace = np.asarray(trace, dtype=complex)
     nx = len(trace)
     lam = dtn_multipliers(spec, width, nx)
-    if spec.kind == "helmholtz_quasiperiodic" and spec.k1 != 0.0:
+    if spec.k1 != 0.0:
         if x_nodes is None:
             x_nodes = -width / 2.0 + (width / nx) * np.arange(nx)
         phase = np.exp(1j * spec.k1 * x_nodes)

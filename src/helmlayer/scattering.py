@@ -143,8 +143,7 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
     inc_trace = np.exp(1j * (wave.k1 * x + wave.k2 * grid.top))
     forcing = -2j * wave.k2 * inc_trace
     system = assemble(grid, tags, problem_kind="helmholtz", bottom="robin", dtn=dtn,
-                      quasi_momentum=wave.k1, k=wave.k, gamma=scene.gamma,
-                      sources=Sources(top_forcing=forcing))
+                      k=wave.k, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
     sol, _ = solve(system)
     fld = sol.reshape(grid.ny, grid.nx)
     refl = extract_reflection(fld[-1], wave, grid.top, scene.period)

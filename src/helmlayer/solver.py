@@ -6,13 +6,14 @@ real cos/sin basis, and complex128 for every other system (W2, the Helmholtz
 problems, and a complex right-hand side a caller put on a real system).
 
 The modal top block enters the factorized matrix in one of two algebraically
-identical forms: for small lateral node counts with mostly active modes it is
-materialized densely into the sparse matrix; otherwise the system is solved in
-bordered form (one auxiliary unknown per retained mode), which keeps memory
-linear. Up to two steps of iterative refinement against the exact matrix-free
-operator bring the residual under TOL. An exactly zero pivot or a constant
-kernel raises SingularSystem; a residual that stays above TOL (or is not
-finite) raises NoConvergence.
+identical forms, both written from the system's one mode basis: merged
+densely into the top rows when the retained modes number at least half the
+top-line nodes (2 n_aux >= nx), and otherwise in bordered form with one
+auxiliary unknown per retained mode, which keeps memory linear in nx. Up to
+two steps of iterative refinement against the exact operator, which applies
+the modal map through its own FFT code, bring the residual under TOL. An
+exactly zero pivot or a constant kernel raises SingularSystem; a residual
+that stays above TOL (or is not finite) raises NoConvergence.
 
 SuperLU factors in symmetric mode: a multiple-minimum-degree ordering of
 A^T + A applied to rows and columns alike, with diagonal pivots, which about
@@ -33,8 +34,8 @@ import scipy.sparse.linalg as spla
 
 from .assemble import DiscreteSystem
 from .errors import NoConvergence, SingularSystem
+from .grid import dtn_multipliers
 
-MATERIALIZE_MAX_NX = 512
 TOL = 1e-10
 
 
@@ -58,12 +59,15 @@ def _kernel_check(system: DiscreteSystem) -> bool:
     return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
 
 
-def _use_materialized(system: DiscreteSystem) -> bool:
-    """Dense merge only pays off when most modes are active on a small top line."""
-    if system.grid.nx > MATERIALIZE_MAX_NX:
-        return False
-    n_active = int(np.count_nonzero(system.multipliers))
-    return n_active * 2 >= system.grid.nx
+def _factor_input(system: DiscreteSystem) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Matrix and rhs to factor: the modal block merged densely when the
+    retained modes number at least half the top line, bordered otherwise."""
+    nx = system.grid.nx
+    n_aux = int(np.count_nonzero(dtn_multipliers(system.dtn, system.grid.width, nx)))
+    if 2 * n_aux >= nx:
+        return system.materialize(), system.rhs
+    matrix, rhs, _ = system.bordered()
+    return matrix, rhs
 
 
 def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
@@ -72,11 +76,7 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
     Raises SingularSystem on rank deficiency (never returns a garbage
     vector) and NoConvergence when refinement leaves the residual above TOL.
     """
-    if _use_materialized(system):
-        matrix = system.materialize()
-        rhs = system.rhs
-    else:
-        matrix, rhs, _ = system.bordered()
+    matrix, rhs = _factor_input(system)
     lu = _factorize(matrix.astype(np.result_type(matrix.dtype, rhs.dtype), copy=False))
     x_ext = lu.solve(rhs)
     x = x_ext[: system.n]

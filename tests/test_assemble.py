@@ -6,6 +6,7 @@ import pytest
 
 from helmlayer import DtnSpec, LayerSpec, NodeClass, build_grid, classify_nodes
 from helmlayer.assemble import Sources, assemble
+from helmlayer.grid import dtn_apply, dtn_multipliers
 
 
 def _laplace_neumann_system(nx_width=10.0, top=8.0, dx=0.2, jump=None):
@@ -40,8 +41,7 @@ def test_quasiperiodic_wrap_phase():
     grid = build_grid(10.0, 2.0, 0.2)
     tags = classify_nodes(grid, None)
     dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1)
-    system = assemble(grid, tags, "helmholtz", "robin", dtn, quasi_momentum=k1,
-                      k=k, gamma=1 + 1j)
+    system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j)
     a = system.local.tocsr()
     j = 2
     row = j * grid.nx  # i = 0, interior: left neighbour wraps with exp(-i k1 W)
@@ -91,18 +91,40 @@ def test_dirichlet_rows_are_identity():
         assert system.rhs[r] == 0.0
 
 
-def test_materialized_matches_matrix_free():
-    grid, system = _laplace_neumann_system(jump=True)
+def _w1_matrix_free_case():
+    return _laplace_neumann_system(jump=True)[1]
+
+
+def _quasiperiodic_robin_case():
+    # complex operator: phased DFT modes, seam phase and Robin bottom
+    k = 1.0
+    k1 = k * math.sin(math.pi / 4.0)
+    grid = build_grid(10.0, 2.0, 0.2)
+    dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1)
+    return assemble(grid, classify_nodes(grid, None), "helmholtz", "robin", dtn, k=k,
+                    gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+
+
+FACTORED_FORM_CASES = pytest.mark.parametrize(
+    "make_system", [_w1_matrix_free_case, _quasiperiodic_robin_case],
+    ids=["w1", "quasiperiodic_robin"])
+
+
+@FACTORED_FORM_CASES
+def test_materialized_matches_matrix_free(make_system):
+    system = make_system()
     full = system.materialize()
     rng = np.random.default_rng(5)
     x = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
     assert np.abs(full @ x - system.matvec(x)).max() < 1e-10
 
 
-def test_bordered_matches_matrix_free():
-    grid, system = _laplace_neumann_system(jump=True)
+@FACTORED_FORM_CASES
+def test_bordered_matches_matrix_free(make_system):
+    system = make_system()
     full, rhs_ext, n_aux = system.bordered()
-    assert n_aux == int(np.count_nonzero(system.multipliers))
+    assert n_aux == int(np.count_nonzero(dtn_multipliers(system.dtn, system.grid.width,
+                                                         system.grid.nx)))
     rng = np.random.default_rng(6)
     x = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
     # eliminate the aux rows by hand: aux = analysis(x_top)
@@ -143,13 +165,14 @@ def test_real_cos_sin_border_matches_complex_dft(width, n_modes):
     x = np.random.default_rng(8).normal(size=system.n)
     real_border, n_aux = _modal_part_of_bordered(system, x)
     dft_border, n_aux_dft = _modal_part_of_bordered(cast, x)
-    assert n_aux == n_aux_dft == int(np.count_nonzero(system.multipliers))
-    rfft_apply = system.dtn_block_apply(x[system.top])  # real trace: rfft/irfft
-    dft_apply = cast.dtn_block_apply(x[system.top])
+    assert n_aux == n_aux_dft == int(np.count_nonzero(dtn_multipliers(system.dtn, width,
+                                                                      system.grid.nx)))
+    real_apply = (system.matvec(x) - system.local @ x)[system.top]  # real part of the FFT map
+    dft_apply = dtn_apply(system.dtn, width, x[system.top])
     scale = np.linalg.norm(dft_apply)
-    for other in (real_border, dft_border, rfft_apply):
+    for other in (real_border, dft_border, real_apply):
         assert np.linalg.norm(other - dft_apply) <= 1e-12 * scale
-    assert real_border.dtype == rfft_apply.dtype == np.float64
+    assert real_border.dtype == real_apply.dtype == np.float64
 
 
 def test_operator_dtype_follows_the_problem():
@@ -166,11 +189,10 @@ def test_operator_dtype_follows_the_problem():
         w2,  # W2: W1's operator, but complex data
         assemble(grid, tags, "helmholtz", "robin",
                  DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1),
-                 quasi_momentum=k1, k=k, gamma=1 + 1j),
+                 k=k, gamma=1 + 1j),
         assemble(grid, tags, "helmholtz", "neumann",
                  DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k), k=k),
         assemble(grid, tags, "laplace", "robin", lap, k=k, gamma=1 + 1j),
-        assemble(grid, tags, "laplace", "neumann", lap, quasi_momentum=0.3),
     ]
     for system in complex_systems:
         assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helmlayer import (DtnSpec, InvalidExtent, LayerSpec, NodeClass,
+from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec, NodeClass,
                        ParticleConfiguration, ParticleOutOfDomain, build_grid,
                        choose_n_modes, classify_nodes, dtn_apply, quasi_mode)
 
@@ -133,3 +133,11 @@ def test_dtn_truncation_zeroes_high_modes():
     spec = DtnSpec(kind="laplace_periodic", n_modes=3)
     phi = quasi_mode(width, nx, 5)
     assert np.abs(dtn_apply(spec, width, phi)).max() < 1e-12
+
+
+def test_laplace_closure_rejects_quasi_momentum():
+    # the periodic Laplace map has no phase, so a k1 there would contradict
+    # the seam phase exp(i k1 width) that assembly reads from the same spec
+    with pytest.raises(InvalidDtnSpec, match="quasi-momentum"):
+        DtnSpec(kind="laplace_periodic", n_modes=4, k1=0.3)
+    DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=1.0, k1=0.3)

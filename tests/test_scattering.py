@@ -132,14 +132,16 @@ def test_translation_by_one_period_preserves_reflection():
 
 def test_broken_dtn_sign_breaks_passivity(monkeypatch):
     # deliberate fault: negated multipliers turn the outgoing closure into an
-    # incoming one; the passivity guard must catch it
+    # incoming one; the passivity guard must catch it. Both readers are
+    # patched: the mode basis of the factored form (assemble) and the FFT
+    # map of the residual operator (grid).
     import importlib
 
-    am = importlib.import_module("helmlayer.assemble")
     from helmlayer.grid import dtn_multipliers as true_multipliers
 
-    monkeypatch.setattr(am, "dtn_multipliers",
-                        lambda spec, width, nx: -true_multipliers(spec, width, nx))
+    for module in ("helmlayer.assemble", "helmlayer.grid"):
+        monkeypatch.setattr(importlib.import_module(module), "dtn_multipliers",
+                            lambda spec, width, nx: -true_multipliers(spec, width, nx))
     scene = _empty_scene()
     with pytest.raises(PassivityViolation):
         reference_solve(scene, WAVE, 2.0 * math.pi / 64.0)

@@ -23,8 +23,7 @@ def _identity_system():
     dtn = DtnSpec(kind="laplace_periodic", n_modes=0)
     return DiscreteSystem(local=sp.identity(n, dtype=complex, format="csr"),
                           rhs=rhs, grid=grid, tags=tags, dtn=dtn,
-                          quasi_momentum=0.0, problem_kind="laplace",
-                          bottom="neumann")
+                          problem_kind="laplace", bottom="neumann")
 
 
 def _w1_system(config):
@@ -65,16 +64,39 @@ def test_non_finite_residual_raises_no_convergence():
         solve(system)
 
 
-def _factor_input(system):
-    if solver._use_materialized(system):
-        return system.materialize(), system.rhs
-    matrix, rhs, _ = system.bordered()
-    return matrix, rhs
-
-
 def test_symmetric_ordering_cuts_fill(small_realization):
-    matrix, _ = _factor_input(_w1_system(small_realization))
+    matrix, _ = solver._factor_input(_w1_system(small_realization))
     assert solver._factorize(matrix).nnz <= 0.7 * spla.splu(matrix).nnz
+
+
+def _nx20_system(problem_kind, dtn):
+    grid = build_grid(4.0, 2.0, 0.2)
+    return assemble(grid, classify_nodes(grid, None), problem_kind, "robin", dtn, k=1.0,
+                    gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+
+
+def test_materialized_exactly_when_modes_fill_half_the_top_line(small_realization,
+                                                                 monkeypatch):
+    factored = []
+    for name in ("materialize", "bordered"):
+        def counted(self, _form=getattr(DiscreteSystem, name), _name=name):
+            factored.append(_name)
+            return _form(self)
+        monkeypatch.setattr(DiscreteSystem, name, counted)
+    cases = [  # (system, factored form); nx 20 unless noted
+        (_nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", n_modes=10,
+                                           k=1.0, k1=0.3)), "materialize"),  # all 20 modes
+        (_nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=5)),
+         "materialize"),  # 10 modes: 2 n_aux == nx
+        (_nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=4)),
+         "bordered"),  # 8 modes
+        (_w1_system(small_realization), "bordered"),  # 16 modes, nx 100
+    ]
+    for system, form in cases:
+        factored.clear()
+        _, report = solve(system)
+        assert factored == [form]
+        assert report.residual <= solver.TOL
 
 
 @pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
@@ -99,7 +121,7 @@ def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, 
     reference_solve(scene, PlaneWave(k=k_dx / dx, theta=math.pi / 4.0), dx)
     (system, x, report), = solved
     assert report.residual <= solver.TOL
-    matrix, rhs = _factor_input(system)
+    matrix, rhs = solver._factor_input(system)
     x_default = spla.splu(matrix).solve(rhs)[: system.n]
     assert np.linalg.norm(x - x_default) <= 1e-9 * np.linalg.norm(x_default)
 
