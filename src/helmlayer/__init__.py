@@ -9,9 +9,9 @@ second-order effective models.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateFit, EmptyConfiguration, HelmlayerError,
-                     InvalidDtnSpec, InvalidExtent, InvalidLayer, NoConvergence,
-                     NumericalFailure, ParticleOutOfDomain, PassivityViolation,
+from .errors import (ConfigError, DegenerateFit, EmptyConfiguration, FactorTooLarge,
+                     HelmlayerError, InvalidDtnSpec, InvalidExtent, InvalidLayer,
+                     NoConvergence, NumericalFailure, ParticleOutOfDomain, PassivityViolation,
                      ResolutionTooCoarse, ShapeMismatch, SingularSystem,
                      UnsnappedInterface)
 from .geometry import (LayerSpec, ParticleConfiguration, PointProcessParams,

@@ -5,9 +5,14 @@ Robin/Neumann rows, identity rows on particle nodes, and a truncated modal
 map coupling the whole top line. The quasi-momentum alpha (seam phase and
 modal map alike) is the closure's DtnSpec.k1. The modal term is kept out of
 the sparse "local" matrix. The exact operator (matvec, residual) applies it
-through lateral FFTs (grid.dtn_apply); the factored forms write it from one
-mode basis (DiscreteSystem.modes), either merged densely into the top rows
-(materialize) or as one auxiliary unknown per retained mode (bordered).
+through lateral FFTs (grid.dtn_apply). The solver factors one form: rows up
+to the cut row above the particles, the particle-free strip above them
+eliminated mode by mode, so the closure reaches the factor only as a dense
+circulant on the cut row (on the top row itself when the strip is empty).
+`materialize` and `bordered`, the modal block merged densely into the top
+rows or as one auxiliary unknown per retained mode, both written from one
+mode basis (DiscreteSystem.modes), remain as explicit forms of the operator;
+the solver uses neither.
 
 A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
 quasi-momentum) and real source data (the W1 corrector) is real: no i k

@@ -29,7 +29,10 @@ class CorrectorConfig:
     H is the flux-jump interface height (strictly above the particle layer),
     L_cell the artificial top closed by the periodic-Laplace modal map.
     Defaults: H = h + 2 and L_cell = H + width/4, so the slowest retained
-    lateral mode decays by exp(-pi/2) across the buffer.
+    lateral mode decays by exp(-pi/2) across the buffer. The solver
+    eliminates the particle-free rows above the layer mode by mode, so a
+    buffer row costs O(nx) recursion work and one lateral FFT per sweep,
+    not factor fill.
     """
 
     layer: LayerSpec = field(default_factory=LayerSpec)

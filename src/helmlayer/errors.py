@@ -33,6 +33,10 @@ class SingularSystem(HelmlayerError):
     """Linear system is singular or numerically rank deficient."""
 
 
+class FactorTooLarge(HelmlayerError):
+    """The sparse factor could not be allocated within the process's memory."""
+
+
 class NoConvergence(HelmlayerError):
     """Direct solve with iterative refinement stayed above the residual tolerance."""
 

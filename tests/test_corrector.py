@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from helmlayer import (LayerSpec, ParticleConfiguration, PointProcessParams,
+from helmlayer import (FactorTooLarge, LayerSpec, ParticleConfiguration, PointProcessParams,
                        SingularSystem, sample_matern)
 from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, decay_profile,
                                  estimate_c1, export_c1_history, solve_w1, solve_w2,
@@ -139,6 +140,16 @@ def test_estimate_c1_deterministic_across_threads(small_layer):
     assert a.std_err == b.std_err
     assert a.history == b.history
     assert a.ci95[0] <= a.mean <= a.ci95[1]
+
+
+def test_estimate_c1_does_not_count_a_factor_too_large_as_a_failed_sample(small_layer,
+                                                                            monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    with pytest.raises(FactorTooLarge):
+        estimate_c1(_cfg(small_layer), 4, master_seed=0, threads=2)
 
 
 def test_estimate_c1_grid_refinement_stability():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +215,35 @@ def test_cli_report_missing_dir(tmp_path):
 def test_default_config_document_is_valid():
     cfg = ExperimentConfig.from_dict({})
     assert cfg.raw["grid"]["target_dx"] == DEFAULT_CONFIG["grid"]["target_dx"]
+
+
+_CAPPED_CLI = """
+import resource, sys
+from helmlayer.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (256 << 20), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_cli_factor_beyond_the_address_space_cap_exits_numerical(tmp_path):
+    # a 5000-node top line: its cut block alone takes 400 MB, past the 256 MB
+    # the child allows itself beyond what it has mapped after start-up
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "scenario": "sweep",
+        "geometry": {"h": 5.0, "delta": 0.05, "width": 200.0},
+        "wave": {"k": 1.0, "theta": math.pi / 4.0},
+        "epsilon_list": [0.2],
+        "grid": {"dtn_gap": 0.2},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "--config", str(cfg), "reference"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert "FactorTooLarge" in proc.stderr

@@ -133,8 +133,9 @@ def test_translation_by_one_period_preserves_reflection():
 def test_broken_dtn_sign_breaks_passivity(monkeypatch):
     # deliberate fault: negated multipliers turn the outgoing closure into an
     # incoming one; the passivity guard must catch it. Both readers are
-    # patched: the mode basis of the factored form (assemble) and the FFT
-    # map of the residual operator (grid).
+    # patched: the mode basis of the explicit forms (assemble), and the grid
+    # module whose multipliers the solver's factored form and the FFT map of
+    # the residual operator read.
     import importlib
 
     from helmlayer.grid import dtn_multipliers as true_multipliers

@@ -5,13 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helmlayer import (DtnSpec, LayerSpec, NoConvergence, PlaneWave, ScatteringScene,
+from helmlayer import (DtnSpec, FactorTooLarge, LayerSpec, NodeClass, NoConvergence,
+                       ParticleConfiguration, PlaneWave, PointProcessParams, ScatteringScene,
                        SingularSystem, build_grid, classify_nodes, reference_solve,
                        sample_matern, solve)
-from helmlayer import scattering, solver
+from helmlayer import corrector, scattering, solver
+from helmlayer import grid as grid_module
 from helmlayer.assemble import DiscreteSystem, Sources, assemble
 from helmlayer.corrector import CorrectorConfig, solve_w1
-from helmlayer.geometry import PointProcessParams
+from helmlayer.grid import dtn_apply, dtn_multipliers
 
 
 def _identity_system():
@@ -75,28 +77,169 @@ def _nx20_system(problem_kind, dtn):
                     gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
 
 
-def test_materialized_exactly_when_modes_fill_half_the_top_line(small_realization,
-                                                                 monkeypatch):
-    factored = []
+def _first_row_above_particles(system):
+    rows = np.flatnonzero((system.tags == NodeClass.PARTICLE_DIRICHLET).any(axis=1))
+    return max(2, rows.max() + 1) if len(rows) else 2
+
+
+def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
     for name in ("materialize", "bordered"):
-        def counted(self, _form=getattr(DiscreteSystem, name), _name=name):
-            factored.append(_name)
-            return _form(self)
-        monkeypatch.setattr(DiscreteSystem, name, counted)
-    cases = [  # (system, factored form); nx 20 unless noted
-        (_nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", n_modes=10,
-                                           k=1.0, k1=0.3)), "materialize"),  # all 20 modes
-        (_nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=5)),
-         "materialize"),  # 10 modes: 2 n_aux == nx
-        (_nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=4)),
-         "bordered"),  # 8 modes
-        (_w1_system(small_realization), "bordered"),  # 16 modes, nx 100
+        def refused(self, _name=name):
+            raise AssertionError(f"solve called DiscreteSystem.{_name}")
+        monkeypatch.setattr(DiscreteSystem, name, refused)
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(matrix, *args, **kwargs):
+        factored.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    cases = [  # nx 20 unless noted
+        _nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", n_modes=10,
+                                          k=1.0, k1=0.3)),  # all 20 modes
+        _nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=5)),  # 10 modes
+        _nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=4)),  # 8 modes
+        _w1_system(small_realization),  # 16 modes, nx 100
     ]
-    for system, form in cases:
+    for system in cases:
         factored.clear()
         _, report = solve(system)
-        assert factored == [form]
+        n = (_first_row_above_particles(system) + 1) * system.grid.nx
+        assert factored == [(n, n)]
         assert report.residual <= solver.TOL
+
+
+def test_cut_row_is_the_first_row_above_the_particles(small_realization, empty_realization):
+    empty = _w1_system(empty_realization)
+    assert solver._Cut(empty).j0 == 2
+    system = _w1_system(small_realization)
+    j0 = solver._Cut(system).j0
+    assert j0 == _first_row_above_particles(system) > 2
+    assert not (system.tags[j0:] == NodeClass.PARTICLE_DIRICHLET).any()
+    assert (system.tags[j0 - 1] == NodeClass.PARTICLE_DIRICHLET).any()
+
+
+@pytest.mark.parametrize("j_edit, j0", [(30, 31), (58, 60)])  # ny 61
+def test_non_uniform_rows_shorten_the_strip(small_realization, j_edit, j0):
+    # a row above the particles whose stencil differs is kept in the factor;
+    # a single uniform row left under the top leaves no strip at all
+    system = _w1_system(small_realization)
+    assert system.grid.ny == 61 and solver._Cut(system).j0 < j_edit
+    node = j_edit * system.grid.nx + 3
+    local = system.local.tolil()
+    local[node, node] *= 1.0 + 1e-12
+    system.local = local.tocsr()
+    assert solver._Cut(system).j0 == j0
+    _, report = solve(system)
+    assert report.residual <= solver.TOL
+
+
+def test_no_strip_under_a_non_stencil_top():
+    system = _identity_system()
+    cut = solver._Cut(system)
+    assert cut.j0 == system.grid.ny - 1 and cut.n == system.n
+
+
+def _seed1_w1_system():
+    cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=20.0),
+                          process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
+    grid = cfg.cell_grid()
+    tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, 1, stream=0))
+    return assemble(grid, tags, "laplace", "neumann", corrector._laplace_dtn(cfg, grid),
+                    sources=Sources(flux_jump_height=grid.snaps[0].snapped))
+
+
+def _reference_system(process, dx):
+    layer = LayerSpec(h=5.0, delta=0.05, width=40.0)
+    scene = ScatteringScene(epsilon=0.4, H=7.0, layer=layer, gamma=1.0 + 1.0j,
+                            period=16.0, L=3.8, config=sample_matern(process, layer, 3))
+    systems = []
+
+    def recording_solve(system):
+        systems.append(system)
+        return solve(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "solve", recording_solve)
+        reference_solve(scene, PlaneWave(k=1.0, theta=math.pi / 4.0), dx)
+    return systems[0]
+
+
+def test_reduced_solve_matches_the_full_factor(small_process):
+    # seed-1 W1 cell, and a quasi-periodic Robin Helmholtz system with particles
+    for system in (_seed1_w1_system(), _reference_system(small_process, 0.1)):
+        assert solver._Cut(system).j0 < system.grid.ny - 3
+        x, _ = solve(system)
+        full = system.materialize().astype(system.rhs.dtype)
+        x_full = solver._factorize(full).solve(system.rhs)
+        assert np.linalg.norm(x - x_full) <= 1e-10 * np.linalg.norm(x_full)
+    assert system.dtn.k1 == pytest.approx(math.sin(math.pi / 4.0))
+
+
+def _one_particle_system(problem_kind):
+    layer = LayerSpec(h=3.0, delta=0.05, width=4.0)
+    config = ParticleConfiguration(np.array([[0.3, 1.5]]), layer, seed=0)
+    grid = build_grid(4.0, 4.0, 0.2)
+    tags = classify_nodes(grid, config)
+    rng = np.random.default_rng(2)
+    if problem_kind == "laplace":
+        dtn = DtnSpec(kind="laplace_periodic", n_modes=6)
+        return assemble(grid, tags, "laplace", "neumann", dtn,
+                        sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx))))
+    k = 1.0
+    dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=6, k=k, k1=k * math.sin(math.pi / 4.0))
+    return assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j,
+                    sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx)),
+                                    top_forcing=np.ones(grid.nx)))
+
+
+@pytest.mark.parametrize("problem_kind", ["laplace", "helmholtz"], ids=["real", "phased"])
+def test_cut_block_is_the_schur_complement_of_the_strip(problem_kind):
+    system = _one_particle_system(problem_kind)
+    cut = solver._Cut(system)
+    n, nx = cut.n, system.grid.nx
+    assert 2 < cut.j0 < system.grid.ny - 3
+    # the full operator, local plus the modal map through grid.dtn_apply
+    full = system.local.toarray().astype(complex)
+    for i in range(nx):
+        e = np.zeros(nx)
+        e[i] = 1.0
+        full[system.top, system.n - nx + i] += dtn_apply(system.dtn, system.grid.width, e)
+    keep, strip = slice(0, n), slice(n, system.n)
+    coupling = np.linalg.solve(full[strip, strip],
+                               np.column_stack([full[strip, keep], system.rhs[strip]]))
+    schur = full[keep, keep] - full[keep, strip] @ coupling[:, :n]
+    rhs = system.rhs[keep] - full[keep, strip] @ coupling[:, n]
+    matrix, reduced_rhs = solver._factor_input(system)
+    assert matrix.dtype == system.local.dtype
+    scale = np.abs(schur).max()
+    assert np.abs(matrix.toarray() - schur).max() <= 1e-12 * scale
+    assert np.abs(reduced_rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_zero_strip_denominator_raises_singular(small_realization, monkeypatch):
+    # multipliers that cancel the top row's one-sided stencil in mode 0
+    system = _w1_system(small_realization)
+    dy = system.grid.dy
+
+    def cancelling(spec, width, nx):
+        lam = dtn_multipliers(spec, width, nx)
+        lam[0] = -(1.5 / dy - 0.5 / dy)
+        return lam
+
+    monkeypatch.setattr(grid_module, "dtn_multipliers", cancelling)
+    with pytest.raises(SingularSystem, match="zero or non-finite denominator"):
+        solve(system)
+
+
+def test_superlu_memory_error_raises_factor_too_large(small_realization, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    with pytest.raises(FactorTooLarge):
+        solve(_w1_system(small_realization))
 
 
 @pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
@@ -122,8 +265,9 @@ def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, 
     (system, x, report), = solved
     assert report.residual <= solver.TOL
     matrix, rhs = solver._factor_input(system)
-    x_default = spla.splu(matrix).solve(rhs)[: system.n]
-    assert np.linalg.norm(x - x_default) <= 1e-9 * np.linalg.norm(x_default)
+    x_default = spla.splu(matrix).solve(rhs)  # the factored rows 0..j0
+    x_cut = x[: len(rhs)]
+    assert np.linalg.norm(x_cut - x_default) <= 1e-9 * np.linalg.norm(x_default)
 
 
 def test_manufactured_solution_recovered(small_realization):
