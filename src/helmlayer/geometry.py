@@ -5,6 +5,16 @@ R x (0, h); all lateral arithmetic is optionally periodic with the cell
 width. Sampling is driven by counter-based Philox streams so that the
 realization drawn for a given (master_seed, index) pair never depends on
 execution order.
+
+All pair and nearest-center work is one sort-and-sweep along the lateral
+axis, O(N log N) in time and O(N) in memory for N points: the slab height is
+O(1) while the width grows, so the points are sorted by lateral coordinate
+(reduced into the cell, with images at +-width when periodic) and
+`searchsorted` yields, for each query, the points within a lateral reach.
+Every candidate is then re-checked with the exact formula (`lateral_delta`,
+then dx*dx + dy*dy), so the results are those of comparing all pairs. A
+nearest-center query takes as its reach the distance to the laterally
+nearest center, which bounds the true nearest distance.
 """
 
 from __future__ import annotations
@@ -95,8 +105,70 @@ class PointProcessParams:
 def lateral_delta(dx: np.ndarray | float, width: float, periodic: bool) -> np.ndarray | float:
     """Signed lateral separation, wrapped into [-width/2, width/2] if periodic."""
     if periodic:
-        return dx - width * np.round(np.asarray(dx) / width)
+        return dx - width * np.rint(dx / width)
     return dx
+
+
+def _sq_distance(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
+                 width: float, periodic: bool) -> np.ndarray:
+    """Squared distance from a to b in the layer metric, elementwise."""
+    dx = lateral_delta(xa - xb, width, periodic)
+    dy = ya - yb
+    return dx * dx + dy * dy
+
+
+class _LateralSweep:
+    """Points sorted by lateral coordinate, with their images at +-width if periodic.
+
+    Keys are x reduced into [0, width] when periodic (raw x otherwise); a key
+    difference equals the wrapped `lateral_delta` up to round-off, which the
+    reach is padded by.
+    """
+
+    def __init__(self, x: np.ndarray, width: float, periodic: bool) -> None:
+        self.x, self.width, self.periodic = x, width, periodic
+        key = np.mod(x, width) if periodic else x
+        self.order = order = np.argsort(key)
+        keys = key[order]
+        if periodic:
+            keys = np.concatenate((keys - width, keys, keys + width))
+            order = np.concatenate((order, order, order))
+        self.keys, self.index = keys, order
+        self.pad = 1e-9 * (1.0 + width + np.abs(x).max(initial=0.0))
+
+    def key(self, xq: np.ndarray) -> np.ndarray:
+        return np.mod(xq, self.width) if self.periodic else xq
+
+    def candidates(self, xq: np.ndarray, reach: np.ndarray | float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """(query, point) index pairs, query-major, of every point whose wrapped
+        lateral separation from query q may be at most reach (scalar or per query)."""
+        if self.periodic:  # no wrapped separation exceeds width/2: a wider window adds only images
+            reach = np.minimum(reach, self.width / 2.0)
+        reach = reach + (self.pad + 1e-9 * np.abs(xq).max(initial=0.0))
+        k = self.key(xq)
+        lo = self.keys.searchsorted(k - reach)
+        counts = self.keys.searchsorted(k + reach, side="right") - lo
+        q = np.arange(len(xq)).repeat(counts)
+        first = (lo + counts - counts.cumsum()).repeat(counts)
+        return q, self.index[first + np.arange(len(q))]
+
+    def pairs(self, reach: float) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i, j), i < j, of the points whose lateral separation may
+        be at most reach. A pair appears twice when found through two images
+        (a width under twice the reach), which no caller minds."""
+        q, p = self.candidates(self.x, reach)
+        later = q < p
+        return q[later], p[later]
+
+
+def _close_pairs(points: np.ndarray, min_dist: float, width: float,
+                 periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, at distance strictly below min_dist."""
+    x, y = points[:, 0], points[:, 1]
+    i, j = _LateralSweep(x, width, periodic).pairs(min_dist)
+    close = _sq_distance(x[i], y[i], x[j], y[j], width, periodic) < min_dist * min_dist
+    return i[close], j[close]
 
 
 @dataclass(frozen=True)
@@ -118,6 +190,9 @@ class ParticleConfiguration:
         object.__setattr__(self, "centers", centers)
         lo, hi = self.layer.center_band
         if centers.size:
+            # NaN passes every comparison below, and the lateral sweep needs finite keys
+            if not np.isfinite(centers).all():
+                raise InvalidLayer("particle centers must be finite")
             if centers[:, 1].min() < lo or centers[:, 1].max() > hi:
                 raise InvalidLayer("particle centers violate the containment band [1+delta, h-1]")
             if len(centers) > 1:
@@ -137,11 +212,14 @@ class ParticleConfiguration:
         c = self.centers
         if len(c) < 2:
             return math.inf
-        dx = lateral_delta(c[:, 0][:, None] - c[:, 0][None, :], self.layer.width, self.layer.periodic)
-        dy = c[:, 1][:, None] - c[:, 1][None, :]
-        d2 = dx * dx + dy * dy
-        np.fill_diagonal(d2, np.inf)
-        return float(np.sqrt(d2.min()))
+        x, y = c[:, 0], c[:, 1]
+        w, periodic = self.layer.width, self.layer.periodic
+        sweep = _LateralSweep(x, w, periodic)
+        # any pair bounds the minimum, and laterally adjacent ones bound it tightly
+        a, b = sweep.order[:-1], sweep.order[1:]
+        bound = _sq_distance(x[a], y[a], x[b], y[b], w, periodic).min()
+        i, j = sweep.pairs(math.sqrt(bound))
+        return float(np.sqrt(_sq_distance(x[i], y[i], x[j], y[j], w, periodic).min()))
 
     def translated(self, shift: float) -> "ParticleConfiguration":
         """Configuration with every lateral coordinate shifted by `shift`."""
@@ -164,37 +242,29 @@ def _matern_keep_mask(points: np.ndarray, scores: np.ndarray, min_dist: float,
     Ties broken by index (lower index wins). Deletion is simultaneous with
     respect to the original point set.
     """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    dx = lateral_delta(points[:, 0][:, None] - points[:, 0][None, :], width, periodic)
-    dy = points[:, 1][:, None] - points[:, 1][None, :]
-    conflict = dx * dx + dy * dy < min_dist * min_dist
-    np.fill_diagonal(conflict, False)
-    idx = np.arange(n)
-    beats = (scores[None, :] < scores[:, None]) | (
-        (scores[None, :] == scores[:, None]) & (idx[None, :] < idx[:, None])
-    )
-    return ~np.any(conflict & beats, axis=1)
+    keep = np.ones(len(points), dtype=bool)
+    i, j = _close_pairs(points, min_dist, width, periodic)
+    i_wins = scores[i] <= scores[j]
+    keep[j[i_wins]] = False
+    keep[i[~i_wins]] = False
+    return keep
 
 
 def _sequential_keep_mask(points: np.ndarray, min_dist: float,
                           width: float, periodic: bool) -> np.ndarray:
-    """Index-order sequential inhibition (the hardcore_poisson kind)."""
+    """Index-order sequential inhibition (the hardcore_poisson kind).
+
+    Each point is checked only against its earlier neighbours closer than
+    min_dist, of which any kept one rejects it.
+    """
     n = len(points)
     keep = np.zeros(n, dtype=bool)
-    kept: list[int] = []
-    for i in range(n):
-        ok = True
-        for j in kept:
-            dx = lateral_delta(points[i, 0] - points[j, 0], width, periodic)
-            dy = points[i, 1] - points[j, 1]
-            if dx * dx + dy * dy < min_dist * min_dist:
-                ok = False
-                break
-        if ok:
-            keep[i] = True
-            kept.append(i)
+    earlier, later = _close_pairs(points, min_dist, width, periodic)
+    by_later = np.argsort(later)
+    earlier, later = earlier[by_later], later[by_later]
+    bounds = np.searchsorted(later, np.arange(n + 1))
+    for p in range(n):
+        keep[p] = not keep[earlier[bounds[p]:bounds[p + 1]]].any()
     return keep
 
 
@@ -225,14 +295,35 @@ def sample_matern(params: PointProcessParams, layer: LayerSpec, seed: int,
     return ParticleConfiguration(points[keep], layer, seed, stream)
 
 
+def _nearest_sq_distance(config: ParticleConfiguration, xq: np.ndarray,
+                         yq: np.ndarray) -> np.ndarray:
+    """Squared distance from each query point (xq, yq) to its nearest center.
+
+    The laterally nearest center bounds the nearest distance, so every center
+    that may be nearer lies within that distance laterally.
+    """
+    c = config.centers
+    x, y = c[:, 0], c[:, 1]
+    w, periodic = config.layer.width, config.layer.periodic
+    sweep = _LateralSweep(x, w, periodic)
+    pos = sweep.keys.searchsorted(sweep.key(xq))
+    left = sweep.index[np.maximum(pos - 1, 0)]
+    right = sweep.index[np.minimum(pos, len(sweep.keys) - 1)]
+    bound = np.minimum(_sq_distance(xq, yq, x[left], y[left], w, periodic),
+                       _sq_distance(xq, yq, x[right], y[right], w, periodic))
+    q, p = sweep.candidates(xq, np.sqrt(bound))
+    d2 = _sq_distance(xq[q], yq[q], x[p], y[p], w, periodic)
+    # every query has a candidate: the laterally nearest center itself
+    return np.minimum.reduceat(d2, np.searchsorted(q, np.arange(len(xq))))
+
+
 def distance_field(config: ParticleConfiguration, y: Sequence[float]) -> float:
     """Distance from point y = (y_par, y_d) to the nearest particle center."""
     if config.is_empty:
         raise EmptyConfiguration("distance field is +inf for an empty configuration")
-    c = config.centers
-    dx = lateral_delta(y[0] - c[:, 0], config.layer.width, config.layer.periodic)
-    dy = y[1] - c[:, 1]
-    return float(np.sqrt(np.min(dx * dx + dy * dy)))
+    d2 = _nearest_sq_distance(config, np.array([y[0]], dtype=float),
+                              np.array([y[1]], dtype=float))
+    return float(np.sqrt(d2[0]))
 
 
 def weight_mu(config: ParticleConfiguration, y: Sequence[float], m: float) -> float:
@@ -279,6 +370,7 @@ def check_hypotheses(params: PointProcessParams, layer: LayerSpec, n_samples: in
         y_levels = np.linspace(0.0, layer.h, 11)
     y_levels = np.asarray(y_levels, dtype=float)
     probes = -layer.width / 2.0 + layer.width * np.arange(n_lateral) / n_lateral
+    xq, yq = (a.ravel() for a in np.meshgrid(probes, y_levels))
     sum_rm = np.zeros(len(y_levels))
     max_r = np.zeros(len(y_levels))
     unbounded = False
@@ -287,8 +379,8 @@ def check_hypotheses(params: PointProcessParams, layer: LayerSpec, n_samples: in
         if config.is_empty:
             unbounded = True
             continue
-        for iy, yd in enumerate(y_levels):
-            r = np.array([distance_field(config, (xp, yd)) for xp in probes])
+        rows = np.sqrt(_nearest_sq_distance(config, xq, yq)).reshape(len(y_levels), n_lateral)
+        for iy, r in enumerate(rows):
             sum_rm[iy] += np.mean(r ** m)
             max_r[iy] = max(max_r[iy], r.max())
     denom = max(n_samples, 1)

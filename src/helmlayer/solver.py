@@ -28,7 +28,10 @@ residual under TOL; each refinement residual is reduced by the same sweep.
 An exactly zero pivot, a constant kernel or a zero or non-finite denominator
 of the strip recursion raises SingularSystem; a residual that stays above TOL
 (or is not finite) raises NoConvergence; an allocation failure while building
-or factoring the reduced matrix raises FactorTooLarge.
+or factoring the reduced matrix raises FactorTooLarge, and so does a cut
+block whose nx^2 entries and int32 row indices alone exceed the memory the
+process may still use (`_memory_budget`), before anything is allocated; a
+block within half the free RAM skips that check.
 
 SuperLU factors in symmetric mode: a multiple-minimum-degree ordering of
 A^T + A applied to rows and columns alike, with diagonal pivots, which about
@@ -41,6 +44,8 @@ residual above TOL, which the checks above turn into a typed error.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,47 @@ TOL = 1e-10
 @dataclass
 class SolveReport:
     residual: float
+
+
+def _proc_kib(path: str, field: str) -> int:
+    """The `field:` value, in KiB, of a /proc key-value file."""
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise ValueError(f"no {field} in {path}")
+
+
+def _memory_budget() -> float:
+    """Bytes the process may still allocate: the lower of its address-space
+    headroom under RLIMIT_AS and the system's MemAvailable, inf where neither
+    can be read."""
+    budget = math.inf
+    try:
+        import resource  # POSIX only
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            budget = soft - 1024 * _proc_kib("/proc/self/status", "VmSize")
+    except (ImportError, OSError, ValueError):
+        pass
+    try:
+        budget = min(budget, 1024 * _proc_kib("/proc/meminfo", "MemAvailable"))
+    except (OSError, ValueError):
+        pass
+    return budget
+
+
+def _free_ram() -> float:
+    """Free physical memory in bytes from sysconf (0 where unknown).
+
+    Unlike reading /proc, sysconf keeps the GIL, so it cannot stall a
+    sibling worker thread.
+    """
+    try:
+        return float(os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return 0.0
 
 
 def _run_start(ok: np.ndarray) -> int:
@@ -179,6 +225,14 @@ class _Cut:
     def matrix(self) -> sp.csc_matrix:
         """Rows and columns 0..j0 of the operator, the dense circulant added on row j0."""
         nx, n = self.nx, self.n
+        need = nx * nx * (np.dtype(self.dtype).itemsize + 4)
+        # a block within half the free RAM is taken to fit, unread: reading /proc
+        # releases the GIL, and the thread then waits up to a switch interval for
+        # it while a sibling W1 worker runs Python (under an RLIMIT_AS cap, the
+        # allocation failure below still ends in FactorTooLarge)
+        if need > _free_ram() / 2 and need > (budget := _memory_budget()):
+            raise FactorTooLarge(f"the {nx}x{nx} cut block alone needs {need} bytes, "
+                                 f"over the {budget:.0f} this process may still use")
         try:
             # block[i, l] = p[(i - l) % nx] phase_i / phase_l depends on i - l
             # alone (Toeplitz): column l holds t[i - l], t[k] for |k| < nx

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helmlayer import (EmptyConfiguration, InvalidLayer, LayerSpec,
                        ParticleConfiguration, PointProcessParams, birkhoff_average,
-                       check_hypotheses, distance_field, sample_matern, substream,
+                       check_hypotheses, distance_field, geometry, sample_matern, substream,
                        weight_mu)
+from helmlayer.geometry import lateral_delta
 
 
 def oracle_matern_count(rng, rho, layer):
@@ -82,6 +84,11 @@ def test_construction_rejects_violations(small_layer):
         ParticleConfiguration(np.array([[0.0, 0.5]]), small_layer, seed=0)
     with pytest.raises(InvalidLayer):
         ParticleConfiguration(np.array([[0.0, 2.0], [1.0, 2.0]]), small_layer, seed=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidLayer, match="finite"):
+            ParticleConfiguration(np.array([[bad, 2.0], [5.0, 2.0]]), small_layer, seed=0)
+        with pytest.raises(InvalidLayer, match="finite"):
+            ParticleConfiguration(np.array([[0.0, 2.0], [5.0, bad]]), small_layer, seed=0)
 
 
 def test_retained_count_within_3_sigma_of_oracle():
@@ -207,3 +214,180 @@ def test_csv_export(tmp_path, small_realization):
     lines = path.read_text().splitlines()
     assert lines[0] == "x_par,x_d"
     assert len(lines) == 1 + len(small_realization)
+
+
+# Brute-force N^2 references for the sort-and-sweep geometry: every pair (or
+# every query-center pair) with the same exact formula, so results must agree
+# bit for bit.
+
+def _all_pairs_sq(xa, ya, xb, yb, layer):
+    dx = lateral_delta(xa[:, None] - xb[None, :], layer.width, layer.periodic)
+    dy = ya[:, None] - yb[None, :]
+    return dx * dx + dy * dy
+
+
+def oracle_matern_keep(points, scores, layer):
+    n = len(points)
+    x, y = points[:, 0], points[:, 1]
+    md = layer.hardcore_distance
+    conflict = _all_pairs_sq(x, y, x, y, layer) < md * md
+    np.fill_diagonal(conflict, False)
+    idx = np.arange(n)
+    beats = (scores[None, :] < scores[:, None]) | (
+        (scores[None, :] == scores[:, None]) & (idx[None, :] < idx[:, None]))
+    return ~np.any(conflict & beats, axis=1)
+
+
+def oracle_sequential_keep(points, layer):
+    x, y = points[:, 0], points[:, 1]
+    md = layer.hardcore_distance
+    conflict = _all_pairs_sq(x, y, x, y, layer) < md * md
+    keep = np.zeros(len(points), dtype=bool)
+    for i in range(len(points)):
+        keep[i] = not np.any(conflict[i, :i] & keep[:i])
+    return keep
+
+
+def oracle_min_pairwise(centers, layer):
+    x, y = centers[:, 0], centers[:, 1]
+    d2 = _all_pairs_sq(x, y, x, y, layer)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
+
+
+def oracle_distance(config, xq, yq):
+    c = config.centers
+    return np.sqrt(_all_pairs_sq(xq, yq, c[:, 0], c[:, 1], config.layer).min(axis=1))
+
+
+def oracle_check_hypotheses(params, layer, n_samples, m, master_seed, n_lateral, y_levels):
+    probes = -layer.width / 2.0 + layer.width * np.arange(n_lateral) / n_lateral
+    sum_rm, max_r = np.zeros(len(y_levels)), np.zeros(len(y_levels))
+    unbounded = False
+    for j in range(n_samples):
+        config = sample_matern(params, layer, master_seed, stream=j)
+        if config.is_empty:
+            unbounded = True
+            continue
+        for iy, yd in enumerate(y_levels):
+            r = oracle_distance(config, probes, np.full(n_lateral, yd))
+            sum_rm[iy] += np.mean(r ** m)
+            max_r[iy] = max(max_r[iy], r.max())
+    return sum_rm / n_samples, max_r, unbounded
+
+
+SWEEP_LAYERS = [
+    # narrowest legal width: a pair can be found through two images
+    LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9),
+    LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9, periodic=False),
+    # reach exactly half the width
+    LayerSpec(h=4.0, delta=0.0, width=4.0),
+    LayerSpec(h=5.0, delta=0.05, width=7.0),
+    LayerSpec(h=5.0, delta=0.3, width=40.0),
+    LayerSpec(h=5.0, delta=0.05, width=30.0, periodic=False),
+]
+
+
+def _draw(rng, layer, tied):
+    n = int(rng.integers(0, 60))
+    lo, hi = layer.center_band
+    points = np.column_stack([rng.uniform(-layer.width / 2.0, layer.width / 2.0, n),
+                              rng.uniform(lo, hi, n)])
+    # scores from four values tie exactly and often
+    scores = rng.integers(0, 4, n) / 4.0 if tied else rng.uniform(size=n)
+    return points, scores
+
+
+@pytest.mark.parametrize("layer", SWEEP_LAYERS, ids=lambda l: f"w{l.width:.3g}-p{l.periodic:d}")
+def test_sweep_matches_all_pairs(layer):
+    rng = np.random.default_rng(int(layer.width * 1000) + layer.periodic)
+    md = layer.hardcore_distance
+    for trial in range(60):
+        points, scores = _draw(rng, layer, tied=trial % 2 == 0)
+        # x far outside the cell, as after translated()
+        shift = (0.0, 5.5 * layer.width + 0.3, -17.0 * layer.width)[trial % 3]
+        points[:, 0] += shift
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width, layer.periodic)
+        assert np.array_equal(keep, oracle_matern_keep(points, scores, layer))
+        seq = geometry._sequential_keep_mask(points, md, layer.width, layer.periodic)
+        assert np.array_equal(seq, oracle_sequential_keep(points, layer))
+        if not seq.any():
+            continue
+        config = ParticleConfiguration(points[seq], layer, seed=0).translated(
+            rng.uniform(-3.0, 3.0) * layer.width)
+        if len(config) > 1:
+            assert config.min_pairwise_distance() == oracle_min_pairwise(config.centers, layer)
+        xq = rng.uniform(-2.0 * layer.width, 2.0 * layer.width, 50) + shift
+        yq = rng.uniform(-1.0, layer.h + 2.0, 50)
+        assert np.array_equal(np.sqrt(geometry._nearest_sq_distance(config, xq, yq)),
+                              oracle_distance(config, xq, yq))
+        assert distance_field(config, (xq[0], yq[0])) == oracle_distance(config, xq, yq)[0]
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_pair_at_exactly_the_hardcore_distance_is_kept(periodic):
+    layer = LayerSpec(h=5.0, delta=0.05, width=10.0, periodic=periodic)
+    md = layer.hardcore_distance
+    points = np.array([[0.0, 2.0], [md, 2.0], [-md, 2.0]])
+    for scores in (np.array([0.1, 0.2, 0.3]), np.zeros(3)):
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width, periodic)
+        assert keep.all() and oracle_matern_keep(points, scores, layer).all()
+        assert geometry._sequential_keep_mask(points, md, layer.width, periodic).all()
+    config = ParticleConfiguration(points, layer, seed=0)
+    assert config.min_pairwise_distance() == md == oracle_min_pairwise(points, layer)
+    # one ulp closer conflicts, and the lower score (index on a tie) wins
+    points[1, 0] = np.nextafter(md, 0.0)
+    keep = geometry._matern_keep_mask(points, np.array([0.2, 0.1, 0.3]), md, layer.width, periodic)
+    assert keep.tolist() == [False, True, True]
+    keep = geometry._matern_keep_mask(points, np.zeros(3), md, layer.width, periodic)
+    assert keep.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_pairs_within_ulps_of_the_hardcore_distance(periodic):
+    # the sweep's lateral keys are rounded differently from lateral_delta, so
+    # pairs a few ulps either side of 2 + delta test its reach padding
+    layer = LayerSpec(h=5.0, delta=0.05, width=50.0, periodic=periodic)
+    md = layer.hardcore_distance
+    rng = np.random.default_rng(11)
+    scores = np.array([0.1, 0.2])
+    for _ in range(3000):
+        x0 = rng.uniform(-25.0, 25.0)
+        step = md * (1.0 + rng.integers(-8, 9) * 1.1e-16) * rng.choice([-1.0, 1.0])
+        points = np.array([[x0, 2.0], [x0 + step, 2.0]])
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width, periodic)
+        assert np.array_equal(keep, oracle_matern_keep(points, scores, layer))
+
+
+@pytest.mark.parametrize("layer, rho", [(LayerSpec(h=5.0, delta=0.05, width=50.0), 0.4),
+                                        (LayerSpec(h=5.0, delta=0.05, width=30.0,
+                                                   periodic=False), 0.4),
+                                        (LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9), 0.9)])
+def test_check_hypotheses_matches_all_pairs(layer, rho):
+    params = PointProcessParams(rho=rho)
+    y_levels = np.linspace(-1.0, layer.h + 1.0, 9)
+    rep = check_hypotheses(params, layer, n_samples=12, m=6.0, master_seed=5,
+                           n_lateral=24, y_levels=y_levels)
+    mean_rm, max_r, unbounded = oracle_check_hypotheses(params, layer, 12, 6.0, 5, 24, y_levels)
+    assert rep.mean_r_pow_m.tobytes() == mean_rm.tobytes()
+    assert rep.max_r.tobytes() == max_r.tobytes()
+    assert rep.unbounded == unbounded
+
+
+def test_wide_layer_geometry_memory_stays_linear():
+    # a width-20000 draw: one N x N float64 array of its points would take
+    # about 1.3 GB
+    layer = LayerSpec(h=5.0, delta=0.05, width=20000.0)
+    probes = -layer.width / 2.0 + layer.width * np.arange(32) / 32
+    xq, yq = (a.ravel() for a in np.meshgrid(probes, np.linspace(0.0, layer.h, 11)))
+    tracemalloc.start()
+    try:
+        config = sample_matern(PointProcessParams(rho=0.4), layer, seed=1)
+        dmin = config.min_pairwise_distance()
+        r2 = geometry._nearest_sq_distance(config, xq, yq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 5000 < len(config) and dmin >= layer.hardcore_distance
+    assert np.all(np.isfinite(r2))
+    assert peak < 64 << 20

@@ -242,6 +242,34 @@ def test_superlu_memory_error_raises_factor_too_large(small_realization, monkeyp
         solve(_w1_system(small_realization))
 
 
+def test_cut_block_over_the_memory_budget_raises_before_factoring(small_realization,
+                                                                 monkeypatch):
+    # the real W1 cut block: 100^2 float64 entries with int32 row indices
+    system = _w1_system(small_realization)
+    need = system.grid.nx ** 2 * (8 + 4)
+    calls = []
+    real_splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(solver, "_free_ram", lambda: 0.0)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need - 1)
+    with pytest.raises(FactorTooLarge, match="cut block alone"):
+        solve(system)
+    assert calls == []
+    monkeypatch.setattr(solver, "_memory_budget", lambda: need)
+    solve(system)
+    assert len(calls) == 1
+    # within half the free RAM the budget is not consulted
+    monkeypatch.setattr(solver, "_free_ram", lambda: 2.0 * need)
+    monkeypatch.setattr(solver, "_memory_budget", lambda: 0.0)
+    solve(system)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
 def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, k_dx):
     # coarsest reference grid (8 nodes per scaled diameter); k*dx at the
