@@ -5,10 +5,14 @@ Robin/Neumann rows, identity rows on particle nodes, and a truncated modal
 map coupling the whole top line. The quasi-momentum alpha (seam phase and
 modal map alike) is the closure's DtnSpec.k1. The modal term is kept out of
 the sparse "local" matrix. The exact operator (matvec, residual) applies it
-through lateral FFTs (grid.dtn_apply). The solver factors one form: rows up
-to the cut row above the particles, the particle-free strip above them
-eliminated mode by mode, so the closure reaches the factor only as a dense
-circulant on the cut row (on the top row itself when the strip is empty).
+through lateral FFTs (grid.dtn_apply). The solver keeps rows up to the cut
+row above the particles and eliminates the particle-free strip above them
+mode by mode, so the closure reaches the reduced system only as a circulant
+on the cut row (on the top row itself when the strip is empty). Below
+solver.INTERFACE_NX lateral nodes that circulant is merged densely into
+the factored matrix; from it on only the particle band under the cut row is
+factored, and the cut row is solved by GMRES on its Schur complement, the
+circulant applied by FFT and inverted per mode as the preconditioner.
 `materialize` and `bordered`, the modal block merged densely into the top
 rows or as one auxiliary unknown per retained mode, both written from one
 mode basis (DiscreteSystem.modes), remain as explicit forms of the operator;

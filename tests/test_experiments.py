@@ -229,12 +229,17 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_cli_factor_beyond_the_address_space_cap_exits_numerical(tmp_path):
-    # a 5000-node top line: its cut block alone takes 400 MB, past the 256 MB
-    # the child allows itself beyond what it has mapped after start-up
+    # a tall, sparsely filled layer: the 600 x 500-node particle band under the
+    # cut row factors into about 20M complex entries (over 400 MB with their
+    # indices), past the 256 MB the child allows itself beyond what it has
+    # mapped after start-up; assembly takes under 100 MB of that. A factor
+    # that far over the cap fails within SuperLU's first allocations, where
+    # one that nearly fits can grow towards the cap for minutes
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "scenario": "sweep",
-        "geometry": {"h": 5.0, "delta": 0.05, "width": 200.0},
+        "geometry": {"h": 100.0, "delta": 0.05, "width": 24.0},
+        "process": {"kind": "matern2", "rho": 0.05},
         "wave": {"k": 1.0, "theta": math.pi / 4.0},
         "epsilon_list": [0.2],
         "grid": {"dtn_gap": 0.2},
@@ -247,3 +252,4 @@ def test_cli_factor_beyond_the_address_space_cap_exits_numerical(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 4, proc.stderr
     assert "FactorTooLarge" in proc.stderr
+    assert "SuperLU could not allocate" in proc.stderr

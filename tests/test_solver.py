@@ -28,8 +28,8 @@ def _identity_system():
                           problem_kind="laplace", bottom="neumann")
 
 
-def _w1_system(config):
-    grid = build_grid(20.0, 12.0, 0.2, interface_heights=(7.0,))
+def _w1_system(config, width=20.0):
+    grid = build_grid(width, 12.0, 0.2, interface_heights=(7.0,))
     tags = classify_nodes(grid, config)
     dtn = DtnSpec(kind="laplace_periodic", n_modes=8)
     return assemble(grid, tags, "laplace", "neumann", dtn,
@@ -47,6 +47,13 @@ def test_empty_w1_raises_singular_direct(empty_realization):
     system = _w1_system(empty_realization)
     with pytest.raises(SingularSystem):
         solve(system)
+
+
+def test_empty_w1_raises_singular_through_the_interface_form(empty_realization, monkeypatch):
+    # the band alone is regular; its Schur complement keeps the constant kernel
+    monkeypatch.setattr(solver, "INTERFACE_NX", 0)
+    with pytest.raises(SingularSystem, match="constant kernel"):
+        solve(_w1_system(empty_realization))
 
 
 def test_near_singular_w1_raises_singular(empty_realization):
@@ -103,11 +110,14 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
         _w1_system(small_realization),  # 16 modes, nx 100
     ]
     for system in cases:
-        factored.clear()
-        _, report = solve(system)
-        n = (_first_row_above_particles(system) + 1) * system.grid.nx
-        assert factored == [(n, n)]
-        assert report.residual <= solver.TOL
+        j0, nx = _first_row_above_particles(system), system.grid.nx
+        # the direct form factors rows 0..j0, the interface form the band 0..j0-1
+        for threshold, n in ((nx + 1, (j0 + 1) * nx), (nx, j0 * nx)):
+            monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
+            factored.clear()
+            _, report = solve(system)
+            assert factored == [(n, n)]
+            assert report.residual <= solver.TOL
 
 
 def test_cut_row_is_the_first_row_above_the_particles(small_realization, empty_realization):
@@ -177,6 +187,61 @@ def test_reduced_solve_matches_the_full_factor(small_process):
     assert system.dtn.k1 == pytest.approx(math.sin(math.pi / 4.0))
 
 
+def _wide_w1_system():
+    layer = LayerSpec(h=5.0, delta=0.05, width=130.0)  # nx 650
+    return _w1_system(sample_matern(PointProcessParams(rho=0.4), layer, 5), layer.width)
+
+
+def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
+    # a wide real W1 cell, and a quasi-periodic Robin Helmholtz system with particles;
+    # the reduced solves agree before refinement, the refined solutions after it
+    for system in (_wide_w1_system(), _reference_system(small_process, 0.1)):
+        cut = solver._Cut(system)
+        assert 2 < cut.j0 < system.grid.ny - 3
+        reduced_rhs, _ = cut.reduce(system.rhs)
+        solutions = []
+        for threshold in (system.grid.nx + 1, system.grid.nx):  # direct, then interface
+            monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
+            x, report = solve(system)
+            assert report.residual <= solver.TOL
+            solutions.append((cut.solver()(reduced_rhs), x))
+        for direct, interface in zip(*solutions):
+            assert interface.dtype == direct.dtype == system.rhs.dtype
+            assert np.linalg.norm(interface - direct) <= 1e-10 * np.linalg.norm(direct)
+    assert system.dtn.k1 == pytest.approx(math.sin(math.pi / 4.0))
+
+
+def test_interface_form_solves_a_zero_strip():
+    # a row just under the top that differs from the stencil: row j0 is the top row
+    system = _wide_w1_system()
+    assert system.grid.nx >= solver.INTERFACE_NX
+    node = (system.grid.ny - 2) * system.grid.nx + 3
+    local = system.local.tolil()
+    local[node, node] *= 1.0 + 1e-12
+    system.local = local.tocsr()
+    assert solver._Cut(system).j0 == system.grid.ny - 1
+    x, report = solve(system)
+    assert report.residual <= solver.TOL
+    assert system.residual(x) == report.residual
+
+
+def test_interface_gmres_cap_raises_no_convergence(monkeypatch):
+    system = _wide_w1_system()
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="interface GMRES"):
+        solve(system)
+
+
+def test_wide_cell_c1_is_bit_identical_across_threads():
+    cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=130.0),
+                          process=PointProcessParams(rho=0.4), H=7.0, L_cell=12.0,
+                          target_dx=0.2)
+    assert cfg.cell_grid().nx >= solver.INTERFACE_NX
+    a = corrector.estimate_c1(cfg, 3, master_seed=3, threads=1)
+    b = corrector.estimate_c1(cfg, 3, master_seed=3, threads=2)
+    assert (a.mean, a.std_err, a.history) == (b.mean, b.std_err, b.history)
+
+
 def _one_particle_system(problem_kind):
     layer = LayerSpec(h=3.0, delta=0.05, width=4.0)
     config = ParticleConfiguration(np.array([[0.3, 1.5]]), layer, seed=0)
@@ -234,40 +299,16 @@ def test_zero_strip_denominator_raises_singular(small_realization, monkeypatch):
 
 
 def test_superlu_memory_error_raises_factor_too_large(small_realization, monkeypatch):
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
+    # an allocation failing in the numeric factorisation, and SuperLU's abort on
+    # one failing before it
+    for error in (MemoryError(), RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc() "
+                                              "at line 173 in file memory.c")):
+        def out_of_memory(*args, _error=error, **kwargs):
+            raise _error
 
-    monkeypatch.setattr(spla, "splu", out_of_memory)
-    with pytest.raises(FactorTooLarge):
-        solve(_w1_system(small_realization))
-
-
-def test_cut_block_over_the_memory_budget_raises_before_factoring(small_realization,
-                                                                 monkeypatch):
-    # the real W1 cut block: 100^2 float64 entries with int32 row indices
-    system = _w1_system(small_realization)
-    need = system.grid.nx ** 2 * (8 + 4)
-    calls = []
-    real_splu = spla.splu
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args)
-        return real_splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(solver, "_free_ram", lambda: 0.0)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: need - 1)
-    with pytest.raises(FactorTooLarge, match="cut block alone"):
-        solve(system)
-    assert calls == []
-    monkeypatch.setattr(solver, "_memory_budget", lambda: need)
-    solve(system)
-    assert len(calls) == 1
-    # within half the free RAM the budget is not consulted
-    monkeypatch.setattr(solver, "_free_ram", lambda: 2.0 * need)
-    monkeypatch.setattr(solver, "_memory_budget", lambda: 0.0)
-    solve(system)
-    assert len(calls) == 2
+        monkeypatch.setattr(spla, "splu", out_of_memory)
+        with pytest.raises(FactorTooLarge, match="SuperLU could not allocate"):
+            solve(_w1_system(small_realization))
 
 
 @pytest.mark.parametrize("k_dx", [2.0 * math.pi / 40.0, 1.9])
