@@ -13,18 +13,18 @@ solver.INTERFACE_NX lateral nodes that circulant is merged densely into
 the factored matrix; from it on only the particle band under the cut row is
 factored, and the cut row is solved by GMRES on its Schur complement, the
 circulant applied by FFT and inverted per mode as the preconditioner.
-`materialize` and `bordered`, the modal block merged densely into the top
-rows or as one auxiliary unknown per retained mode, both written from one
-mode basis (DiscreteSystem.modes), remain as explicit forms of the operator;
-the solver uses neither.
+Two explicit forms of the operator remain, and the solver uses neither:
+`materialize` merges the modal map into the top rows as a dense block, built
+by the solver's own circulant code (grid.circulant, with_top_block), and
+`bordered` adds one auxiliary unknown per retained mode, coupled through the
+phased DFT of the top trace.
 
 A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
 quasi-momentum) and real source data (the W1 corrector) is real: no i k
 gamma Robin term, no seam phase, and real multipliers even in the mode
-index m. It is assembled in float64, and its mode basis is real cos/sin
-(one cos and one sin mode per pair +-m, a single cos mode for m = 0 and the
-Nyquist mode) in place of the phased DFT. Every other system, W2 with its
-complex Neumann data included, is complex128.
+index m. It is assembled in float64, and so is its materialized matrix (its
+bordered matrix is complex128). Every other system, W2 with its complex
+Neumann data included, is complex128.
 
 Flattened node index: idx(i, j) = j*nx + i, so the top line is the final
 contiguous block of unknowns.
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeMismatch, UnsnappedInterface
-from .grid import DtnSpec, Grid, NodeClass, dtn_apply, dtn_multipliers
+from .grid import DtnSpec, Grid, NodeClass, circulant, dtn_apply, dtn_multipliers
 
 PROBLEM_KINDS = ("laplace", "helmholtz")
 BOTTOM_KINDS = ("neumann", "robin")
@@ -71,8 +71,6 @@ class DiscreteSystem:
     grid: Grid
     tags: np.ndarray
     dtn: DtnSpec
-    problem_kind: str
-    bottom: str
 
     @property
     def real(self) -> bool:
@@ -101,51 +99,31 @@ class DiscreteSystem:
             scale = 1.0
         return float(np.linalg.norm(self.matvec(x) - self.rhs) / scale)
 
-    def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained modes of the top-line map: Lambda u = synthesis @ (analysis @ u).
-
-        Returns synthesis (nx x n_aux, multipliers included) and analysis
-        (n_aux x nx), one column/row per retained mode. Real operators use
-        cos(2 pi m i / nx) for every retained 0 <= m <= nx/2 and then
-        sin(2 pi m i / nx) for 0 < m < nx/2, a pair +-m carrying twice its
-        multiplier; complex operators use the DFT of the trace de-phased by
-        exp(i alpha x).
-        """
-        nx = self.grid.nx
-        lam = dtn_multipliers(self.dtn, self.grid.width, nx)
-        i = np.arange(nx)
-        if self.real:
-            lam = lam.real[: nx // 2 + 1]
-            m = np.flatnonzero(lam)
-            paired = (m > 0) & (2 * m < nx)
-            theta = 2.0 * np.pi * np.outer(m, i) / nx
-            basis = np.concatenate([np.cos(theta), np.sin(theta[paired])])
-            weights = np.concatenate([np.where(paired, 2.0, 1.0) * lam[m], 2.0 * lam[m[paired]]])
-            return basis.T * weights[None, :], basis / nx
-        m = np.flatnonzero(lam)
-        phase = np.exp(1j * self.dtn.k1 * self.grid.x_nodes())
-        twiddle = np.exp(2j * np.pi * np.outer(i, m) / nx)
-        return (lam[m][None, :] * twiddle) * phase[:, None], twiddle.conj().T / (nx * phase[None, :])
-
     def materialize(self) -> sp.csc_matrix:
-        """Full sparse matrix with the dense modal block merged into the top rows."""
-        synthesis, analysis = self.modes()
-        n, nx = self.n, self.grid.nx
-        rows = np.repeat(np.arange(n - nx, n), nx)
-        cols = np.tile(np.arange(n - nx, n), nx)
-        dense = sp.coo_matrix(((synthesis @ analysis).ravel(), (rows, cols)), shape=(n, n))
-        return (self.local + dense.tocsr()).tocsc()
+        """Full sparse matrix with the dense modal block merged into the top rows.
+
+        The block is the solver's circulant (grid.circulant) of the multipliers.
+        """
+        lam = dtn_multipliers(self.dtn, self.grid.width, self.grid.nx)
+        return with_top_block(self.local, circulant(lam.real if self.real else lam,
+                                                       self.dtn.k1, self.grid.dx))
 
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Exact bordered form with one auxiliary unknown per retained mode.
 
-        Aux k holds the analysis coefficient of the top trace: top rows gain
-        the synthesis entries, aux rows enforce the analysis, so a real
-        operator gives a float64 matrix. Returns (matrix, extended rhs, n_aux).
+        Aux k holds the coefficient of retained mode m_k in the DFT of the top
+        trace de-phased by exp(i alpha x): top rows gain the synthesis entries
+        Lambda_m exp(2 pi i m l / nx) exp(i alpha x_l), aux rows enforce the
+        analysis. The matrix is complex128. Returns (matrix, extended rhs, n_aux).
         """
         nx, n = self.grid.nx, self.n
-        syn, ana = self.modes()
-        n_aux = len(ana)
+        lam = dtn_multipliers(self.dtn, self.grid.width, nx)
+        m = np.flatnonzero(lam)
+        n_aux = len(m)
+        phase = np.exp(1j * self.dtn.k1 * self.grid.x_nodes())
+        twiddle = np.exp(2j * np.pi * np.outer(np.arange(nx), m) / nx)
+        syn = (lam[m][None, :] * twiddle) * phase[:, None]
+        ana = twiddle.conj().T / (nx * phase[None, :])
         top_rows = np.repeat(np.arange(n - nx, n), n_aux)
         aux_cols = np.tile(np.arange(n, n + n_aux), nx)
         coupling = sp.coo_matrix((syn.ravel(), (top_rows, aux_cols)), shape=(n + n_aux, n + n_aux))
@@ -158,6 +136,16 @@ class DiscreteSystem:
         full = (local_ext + coupling + analysis + eye_aux).tocsc()
         rhs_ext = np.concatenate([self.rhs, np.zeros(n_aux, dtype=self.rhs.dtype)])
         return full, rhs_ext, n_aux
+
+
+def with_top_block(matrix: sp.spmatrix, block: np.ndarray) -> sp.csc_matrix:
+    """`matrix` plus the dense nx x nx `block` on its last nx rows and columns, as CSC."""
+    n, nx = matrix.shape[0], len(block)
+    indptr = np.concatenate([np.zeros(n - nx, dtype=np.int32),
+                             np.arange(0, nx * nx + 1, nx, dtype=np.int32)])
+    rows = np.tile(np.arange(n - nx, n, dtype=np.int32), nx)
+    dense = sp.csc_matrix((block.ravel(order="F"), rows, indptr), shape=(n, n))
+    return matrix.tocsc() + dense
 
 
 def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
@@ -272,5 +260,4 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn,
-                          problem_kind=problem_kind, bottom=bottom)
+    return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn)

@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
-        user = json.loads(Path(args.config).read_text())
+        user = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
     else:
@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -145,6 +145,24 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
     }
 
 
+def _solve_cell(cfg: CorrectorConfig, grid: Grid, config: ParticleConfiguration,
+                sources: Sources, injected: float, kind: str) -> CorrectorSolution:
+    """Laplace on the cell minus particles: homogeneous Dirichlet on particles,
+    Neumann bottom, periodic-Laplace modal closure at the top, `sources` as data."""
+    tags = classify_nodes(grid, config, scale=1.0)
+    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann",
+                      dtn=_laplace_dtn(cfg, grid), sources=sources)
+    x, report = solve(system)
+    fld = x.reshape(grid.ny, grid.nx)
+    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
+    trace = fld[-1].copy()
+    snap = grid.snaps[0]
+    return CorrectorSolution(field=fld, trace_L=trace, trace_mean=trace.mean().item(),
+                             flux_report=_flux_balance(fld, tags, grid, injected), kind=kind,
+                             grid=grid, tags=tags, interface_height=snap.snapped,
+                             j_interface=snap.j_index, solve_report=report)
+
+
 def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSolution:
     """Solve the unit-flux-jump corrector on one realization.
 
@@ -155,20 +173,8 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     SingularSystem (the injected flux has no outlet).
     """
     grid = cfg.cell_grid()
-    tags = classify_nodes(grid, config, scale=1.0)
-    dtn = _laplace_dtn(cfg, grid)
-    h_snap = grid.snaps[0].snapped
-    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
-                      sources=Sources(flux_jump_height=h_snap, flux_jump_value=1.0))
-    x, report = solve(system)
-    fld = x.reshape(grid.ny, grid.nx)
-    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
-    trace = fld[-1].copy()
-    flux = _flux_balance(fld, tags, grid, injected=grid.width)
-    return CorrectorSolution(field=fld, trace_L=trace, trace_mean=float(trace.mean()),
-                             flux_report=flux, kind="W1", grid=grid, tags=tags,
-                             interface_height=h_snap, j_interface=grid.snaps[0].j_index,
-                             solve_report=report)
+    jump = Sources(flux_jump_height=grid.snaps[0].snapped, flux_jump_value=1.0)
+    return _solve_cell(cfg, grid, config, jump, injected=grid.width, kind="W1")
 
 
 def v1_bottom_trace(w1: CorrectorSolution) -> np.ndarray:
@@ -187,20 +193,8 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     grid = cfg.cell_grid()
     if len(v1_bottom) != grid.nx:
         raise ShapeMismatch("V1 bottom trace does not match the corrector grid")
-    tags = classify_nodes(grid, config, scale=1.0)
-    dtn = _laplace_dtn(cfg, grid)
     psi = -1j * cfg.k * cfg.gamma * np.asarray(v1_bottom, dtype=complex)
-    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann", dtn=dtn,
-                      sources=Sources(bottom_neumann=psi))
-    x, report = solve(system)
-    fld = x.reshape(grid.ny, grid.nx)
-    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
-    trace = fld[-1].copy()
-    flux = _flux_balance(fld, tags, grid, injected=0.0)
-    return CorrectorSolution(field=fld, trace_L=trace, trace_mean=complex(trace.mean()),
-                             flux_report=flux, kind="W2", grid=grid, tags=tags,
-                             interface_height=grid.snaps[0].snapped,
-                             j_interface=grid.snaps[0].j_index, solve_report=report)
+    return _solve_cell(cfg, grid, config, Sources(bottom_neumann=psi), injected=0.0, kind="W2")
 
 
 def v1_field(w1: CorrectorSolution, c1: float) -> np.ndarray:

@@ -9,6 +9,7 @@ line endings; floats are written with repr (shortest round-trip form).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections.abc import Callable
@@ -99,48 +100,38 @@ class ExperimentConfig:
             layer = LayerSpec(**merged["geometry"])
             process = PointProcessParams(**merged["process"])
             wave = PlaneWave(**merged["wave"])
+            gamma = complex(merged["gamma"]["re"], merged["gamma"]["im"])
+            eps = merged["epsilon_list"]
+            eps = (tuple(t / wave.k2 for t in (0.2, 0.1, 0.05, 0.025)) if eps is None
+                   else tuple(float(e) for e in eps))
+            n_samples = int(merged["n_samples"])
+            master_seed = int(merged["master_seed"])
+            grid = merged["grid"]
+            target_dx, dtn_eta = float(grid["target_dx"]), float(grid["dtn_eta"])
+            nodes_per_diameter, dtn_gap = float(grid["nodes_per_diameter"]), float(grid["dtn_gap"])
         except (TypeError, ValueError, HelmlayerError) as exc:
             raise ConfigError(str(exc)) from exc
-        gamma = complex(merged["gamma"]["re"], merged["gamma"]["im"])
-        eps = merged["epsilon_list"]
-        if eps is None:
-            eps = tuple(t / wave.k2 for t in (0.2, 0.1, 0.05, 0.025))
-        else:
-            eps = tuple(float(e) for e in eps)
-            if any(e <= 0 for e in eps):
-                raise ConfigError("epsilon_list entries must be positive")
-            if any(a <= b for a, b in zip(eps, eps[1:])):
-                raise ConfigError("epsilon_list must be strictly decreasing")
-        n_samples = int(merged["n_samples"])
+        if any(e <= 0 for e in eps):
+            raise ConfigError("epsilon_list entries must be positive")
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            raise ConfigError("epsilon_list must be strictly decreasing")
         if n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if not 0 <= int(merged["master_seed"]) < 2 ** 64:
+        if not 0 <= master_seed < 2 ** 64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        grid = merged["grid"]
         return ExperimentConfig(
             scenario=merged["scenario"], layer=layer, process=process, wave=wave,
-            gamma=gamma, epsilon_list=eps, n_samples=n_samples,
-            master_seed=int(merged["master_seed"]), target_dx=float(grid["target_dx"]),
-            dtn_eta=float(grid["dtn_eta"]),
-            nodes_per_diameter=float(grid["nodes_per_diameter"]),
-            dtn_gap=float(grid["dtn_gap"]), output_dir=str(merged["output_dir"]),
-            raw=merged,
+            gamma=gamma, epsilon_list=eps, n_samples=n_samples, master_seed=master_seed,
+            target_dx=target_dx, dtn_eta=dtn_eta, nodes_per_diameter=nodes_per_diameter,
+            dtn_gap=dtn_gap, output_dir=str(merged["output_dir"]), raw=merged,
         )
 
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config document must be a JSON object")
-        return ExperimentConfig.from_dict(user)
-
     def corrector_config(self, width: float | None = None) -> CorrectorConfig:
-        layer = self.layer if width is None else LayerSpec(
-            h=self.layer.h, delta=self.layer.delta, width=width, periodic=True)
+        """Corrector cell at `width` (default: the layer's), always periodic: the
+        cell grid wraps laterally, so its particles must keep their hard core
+        across the seam."""
+        layer = dataclasses.replace(self.layer, periodic=True,
+                                    width=self.layer.width if width is None else width)
         return CorrectorConfig(layer=layer, process=self.process,
                                target_dx=self.target_dx, dtn_eta=self.dtn_eta,
                                gamma=self.gamma, k=self.wave.k)
@@ -434,7 +425,7 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
             phi_q = quasi_mode(width, nx, m, k1=k1)
             zeta = 2.0 * math.pi * m / width + k1
             beta = math.sqrt(k * k - zeta * zeta)
-            worst = max(worst, float(np.abs(dtn_apply(helm, width, phi_q, None)
+            worst = max(worst, float(np.abs(dtn_apply(helm, width, phi_q)
                                             - (-1j * beta) * phi_q).max()))
         return worst <= 1e-10, f"max spectral action error {worst:.2e}"
 

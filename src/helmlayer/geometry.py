@@ -383,8 +383,7 @@ def check_hypotheses(params: PointProcessParams, layer: LayerSpec, n_samples: in
         for iy, r in enumerate(rows):
             sum_rm[iy] += np.mean(r ** m)
             max_r[iy] = max(max_r[iy], r.max())
-    denom = max(n_samples, 1)
-    return HypothesisReport(y_levels, sum_rm / denom, max_r, m, n_samples, unbounded)
+    return HypothesisReport(y_levels, sum_rm / n_samples, max_r, m, n_samples, unbounded)
 
 
 def birkhoff_average(configs: Iterable[ParticleConfiguration],

@@ -229,8 +229,7 @@ def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
     return lam
 
 
-def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray,
-              x_nodes: np.ndarray | None = None) -> np.ndarray:
+def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
     """Apply the truncated modal map to a top-line trace.
 
     For the quasi-periodic closure the trace is phase-shifted by
@@ -240,11 +239,29 @@ def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray,
     nx = len(trace)
     lam = dtn_multipliers(spec, width, nx)
     if spec.k1 != 0.0:
-        if x_nodes is None:
-            x_nodes = -width / 2.0 + (width / nx) * np.arange(nx)
+        x_nodes = -width / 2.0 + (width / nx) * np.arange(nx)
         phase = np.exp(1j * spec.k1 * x_nodes)
         return phase * np.fft.ifft(lam * np.fft.fft(trace / phase))
     return np.fft.ifft(lam * np.fft.fft(trace))
+
+
+def circulant(symbol: np.ndarray, k1: float, dx: float) -> np.ndarray:
+    """Dense nx x nx matrix B of the lateral map diagonal in the phased modes.
+
+    B u = exp(i k1 x) ifft(symbol * fft(exp(-i k1 x) u)), symbol in numpy FFT
+    ordering. B[i, l] = ifft(symbol)[(i - l) % nx] exp(i k1 (i - l) dx)
+    depends on i - l alone, so only its 2 nx - 1 offsets are evaluated, never
+    the phase on all nx^2 entries. Real for a real symbol with k1 = 0;
+    returned in Fortran order (contiguous columns).
+    """
+    nx = len(symbol)
+    p = np.fft.ifft(symbol)
+    if np.isrealobj(symbol):
+        p = p.real
+    t = np.concatenate([p[1:], p])  # t[nx - 1 + i - l]
+    if k1 != 0.0:
+        t *= np.exp(1j * k1 * dx * np.arange(1 - nx, nx))
+    return np.lib.stride_tricks.sliding_window_view(t, nx)[::-1].T.copy(order="F")
 
 
 def quasi_mode(width: float, nx: int, m: int, k1: float = 0.0) -> np.ndarray:

@@ -18,6 +18,8 @@ modes, eliminates them as v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0 then carries
 the dense phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical coupling)
 and its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are solved. A
 forward sweep rebuilds the strip, so callers always get the full field.
+The circulant's dense form is grid.circulant, the code that also builds
+DiscreteSystem.materialize's modal block from the multipliers themselves.
 When fewer than two such rows lie under the top (or the rows above the
 particles are not one stencil) the strip is empty and the circulant on the
 top row is the modal map itself: the same reduced system, with no sweep.
@@ -82,7 +84,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import DiscreteSystem
+from .assemble import DiscreteSystem, with_top_block
 from .errors import FactorTooLarge, NoConvergence, SingularSystem
 from . import grid as _grid
 
@@ -223,22 +225,8 @@ class _Cut:
         """Rows and columns 0..j0 of the operator, the dense circulant added on row j0."""
         nx, n = self.nx, self.n
         try:
-            # block[i, l] = p[(i - l) % nx] phase_i / phase_l depends on i - l
-            # alone (Toeplitz): column l holds t[i - l], t[k] for |k| < nx
-            p = np.fft.ifft(self.symbol)
-            if np.isrealobj(self.symbol):
-                p = p.real
-            t = np.concatenate([p[1:], p])
-            if self.phase is not None:
-                t *= np.exp(1j * self.k1 * self.dx * np.arange(1 - nx, nx))
-            t = t.astype(self.dtype)
-            columns = np.lib.stride_tricks.sliding_window_view(t, nx)[::-1].copy()
-            indptr = np.concatenate([np.zeros(n - nx, dtype=np.int32),
-                                     np.arange(0, nx * nx + 1, nx, dtype=np.int32)])
-            rows = np.tile(np.arange(n - nx, n, dtype=np.int32), nx)
-            dense = sp.csc_matrix((columns.ravel(), rows, indptr), shape=(n, n))
-            del columns, rows
-            return self.local[:n, :n].tocsc() + dense
+            block = _grid.circulant(self.symbol, self.k1, self.dx).astype(self.dtype, copy=False)
+            return with_top_block(self.local[:n, :n], block)
         except MemoryError as exc:
             raise FactorTooLarge(f"no memory for the {n}-unknown reduced matrix "
                                  f"with its {nx}x{nx} cut block") from exc
@@ -364,12 +352,6 @@ def _kernel_check(system: DiscreteSystem) -> bool:
     ones = np.ones(system.n, dtype=complex) / np.sqrt(system.n)
     scale = float(np.abs(system.local.diagonal()).max())
     return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
-
-
-def _factor_input(system: DiscreteSystem) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Matrix and rhs that SuperLU factors: rows 0..j0, the strip eliminated."""
-    cut = _Cut(system)
-    return cut.matrix(), cut.reduce(system.rhs)[0]
 
 
 def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -110,13 +110,39 @@ FACTORED_FORM_CASES = pytest.mark.parametrize(
     ids=["w1", "quasiperiodic_robin"])
 
 
-@FACTORED_FORM_CASES
+def _w1_type_system(width, n_modes):
+    grid = build_grid(width, 8.0, 0.2, interface_heights=(4.0,))
+    tags = classify_nodes(grid, None)
+    dtn = DtnSpec(kind="laplace_periodic", n_modes=n_modes)
+    return assemble(grid, tags, "laplace", "neumann", dtn, sources=Sources(flux_jump_height=4.0))
+
+
+@pytest.mark.parametrize("make_system", [
+    _w1_matrix_free_case,
+    _quasiperiodic_robin_case,
+    functools.partial(_w1_type_system, 10.0, 6),
+    functools.partial(_w1_type_system, 9.8, 6),
+    functools.partial(_w1_type_system, 10.0, 25),
+    functools.partial(_w1_type_system, 9.8, 24),
+], ids=["w1", "quasiperiodic_robin",
+        "w1_nx50", "w1_nx49", "w1_nx50_nyquist_mode", "w1_nx49_every_mode"])
 def test_materialized_matches_matrix_free(make_system):
     system = make_system()
     full = system.materialize()
+    assert full.dtype == system.local.dtype
     rng = np.random.default_rng(5)
     x = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
-    assert np.abs(full @ x - system.matvec(x)).max() < 1e-10
+    y = full @ x
+    # the shared circulant against the one FFT code
+    modal = dtn_apply(system.dtn, system.grid.width, x[system.top])
+    circ = (y - system.local @ x)[system.top]
+    assert np.linalg.norm(circ - modal) <= 1e-12 * np.linalg.norm(modal)
+    assert np.abs(y - system.matvec(x)).max() < 1e-10
+    if system.real:  # a real vector keeps the exact operator real
+        y_real = system.matvec(x.real)
+        assert y_real.dtype == np.float64
+        assert np.linalg.norm((y_real - system.local @ x.real)[system.top] - modal.real) \
+            <= 1e-12 * np.linalg.norm(modal)
 
 
 @FACTORED_FORM_CASES
@@ -134,45 +160,6 @@ def test_bordered_matches_matrix_free(make_system):
     assert np.abs((full @ ext)[system.n:]).max() < 1e-12
     out = (full @ ext)[: system.n]
     assert np.abs(out - system.matvec(x)).max() < 1e-10
-
-
-def _w1_type_system(width, dx, n_modes):
-    grid = build_grid(width, 8.0, dx, interface_heights=(4.0,))
-    tags = classify_nodes(grid, None)
-    dtn = DtnSpec(kind="laplace_periodic", n_modes=n_modes)
-    return assemble(grid, tags, "laplace", "neumann", dtn, sources=Sources(flux_jump_height=4.0))
-
-
-def _modal_part_of_bordered(system, x):
-    """Top-line modal term of the bordered form, its aux unknowns eliminated by hand."""
-    full, _, n_aux = system.bordered()
-    aux = -(full[system.n:, :system.n] @ x)
-    out = full @ np.concatenate([x, aux])
-    return (out[: system.n] - system.local @ x)[system.top], n_aux
-
-
-@pytest.mark.parametrize("width, n_modes", [
-    (10.0, 6),   # nx 50
-    (9.8, 6),    # nx 49
-    (10.0, 25),  # nx 50, the Nyquist mode m = 25 retained
-    (9.8, 24),   # nx 49, every mode retained
-])
-def test_real_cos_sin_border_matches_complex_dft(width, n_modes):
-    system = _w1_type_system(width, 0.2, n_modes)
-    assert system.local.dtype == np.float64
-    cast = dataclasses.replace(system, local=system.local.astype(complex),
-                               rhs=system.rhs.astype(complex))
-    x = np.random.default_rng(8).normal(size=system.n)
-    real_border, n_aux = _modal_part_of_bordered(system, x)
-    dft_border, n_aux_dft = _modal_part_of_bordered(cast, x)
-    assert n_aux == n_aux_dft == int(np.count_nonzero(dtn_multipliers(system.dtn, width,
-                                                                      system.grid.nx)))
-    real_apply = (system.matvec(x) - system.local @ x)[system.top]  # real part of the FFT map
-    dft_apply = dtn_apply(system.dtn, width, x[system.top])
-    scale = np.linalg.norm(dft_apply)
-    for other in (real_border, dft_border, real_apply):
-        assert np.linalg.norm(other - dft_apply) <= 1e-12 * scale
-    assert real_border.dtype == real_apply.dtype == np.float64
 
 
 def test_operator_dtype_follows_the_problem():

@@ -49,6 +49,15 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"geometry": {"hh": 3}})
 
 
+def test_corrector_cells_are_periodic():
+    # the cell grid wraps laterally, whatever the sampled layer's own metric
+    cfg = ExperimentConfig.from_dict({"geometry": {"periodic": False}})
+    assert not cfg.layer.periodic
+    for width, expected in ((None, cfg.layer.width), (40.0, 40.0)):
+        layer = cfg.corrector_config(width).layer
+        assert layer.periodic and layer.width == expected
+
+
 def test_config_epsilon_list_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"epsilon_list": [0.1, 0.2]})
@@ -146,6 +155,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(bad), "sample"]) == 3
     missing = tmp_path / "missing.json"
     assert main(["--config", str(missing), "sample"]) == 3
+    for user in ({"n_samples": "x"}, {"grid": {"target_dx": "a"}}):
+        bad.write_text(json.dumps(user))
+        assert main(["--config", str(bad), "sample"]) == 3
+    bad.write_bytes(b'{"output_dir": "\xff"}')  # not UTF-8
+    assert main(["--config", str(bad), "sample"]) == 3
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -24,8 +24,7 @@ def _identity_system():
     rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
     dtn = DtnSpec(kind="laplace_periodic", n_modes=0)
     return DiscreteSystem(local=sp.identity(n, dtype=complex, format="csr"),
-                          rhs=rhs, grid=grid, tags=tags, dtn=dtn,
-                          problem_kind="laplace", bottom="neumann")
+                          rhs=rhs, grid=grid, tags=tags, dtn=dtn)
 
 
 def _w1_system(config, width=20.0):
@@ -74,7 +73,7 @@ def test_non_finite_residual_raises_no_convergence():
 
 
 def test_symmetric_ordering_cuts_fill(small_realization):
-    matrix, _ = solver._factor_input(_w1_system(small_realization))
+    matrix = solver._Cut(_w1_system(small_realization)).matrix()
     assert solver._factorize(matrix).nnz <= 0.7 * spla.splu(matrix).nnz
 
 
@@ -276,7 +275,7 @@ def test_cut_block_is_the_schur_complement_of_the_strip(problem_kind):
                                np.column_stack([full[strip, keep], system.rhs[strip]]))
     schur = full[keep, keep] - full[keep, strip] @ coupling[:, :n]
     rhs = system.rhs[keep] - full[keep, strip] @ coupling[:, n]
-    matrix, reduced_rhs = solver._factor_input(system)
+    matrix, reduced_rhs = cut.matrix(), cut.reduce(system.rhs)[0]
     assert matrix.dtype == system.local.dtype
     scale = np.abs(schur).max()
     assert np.abs(matrix.toarray() - schur).max() <= 1e-12 * scale
@@ -333,7 +332,8 @@ def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, 
     reference_solve(scene, PlaneWave(k=k_dx / dx, theta=math.pi / 4.0), dx)
     (system, x, report), = solved
     assert report.residual <= solver.TOL
-    matrix, rhs = solver._factor_input(system)
+    cut = solver._Cut(system)
+    matrix, rhs = cut.matrix(), cut.reduce(system.rhs)[0]
     x_default = spla.splu(matrix).solve(rhs)  # the factored rows 0..j0
     x_cut = x[: len(rhs)]
     assert np.linalg.norm(x_cut - x_default) <= 1e-9 * np.linalg.norm(x_default)
