@@ -28,7 +28,7 @@ from .errors import (ConfigError, DegenerateFit, HelmlayerError, NoConvergence,
 from .geometry import LayerSpec, PointProcessParams, sample_matern
 from .grid import DtnSpec, dtn_apply, quasi_mode
 from .scattering import (PlaneWave, ScatteringScene, effective_reflection,
-                         export_field_csv, extract_reflection, farfield_reflection,
+                         export_field_csv, farfield_reflection,
                          reference_solve, robin_halfspace_reflection)
 
 SCENARIOS = ("c1_study", "sweep", "validate", "corrector_profile", "sample_only")
@@ -51,6 +51,13 @@ DEFAULT_CONFIG: dict = {
 
 SAMPLE_FAILURES = (SingularSystem, NoConvergence, PassivityViolation,
                    ResolutionTooCoarse, NumericalFailure)
+
+
+def _integer(value, key: str) -> int:
+    """A count from the config; a bool or a number with a fractional part is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
@@ -104,8 +111,8 @@ class ExperimentConfig:
             eps = merged["epsilon_list"]
             eps = (tuple(t / wave.k2 for t in (0.2, 0.1, 0.05, 0.025)) if eps is None
                    else tuple(float(e) for e in eps))
-            n_samples = int(merged["n_samples"])
-            master_seed = int(merged["master_seed"])
+            n_samples = _integer(merged["n_samples"], "n_samples")
+            master_seed = _integer(merged["master_seed"], "master_seed")
             grid = merged["grid"]
             target_dx, dtn_eta = float(grid["target_dx"]), float(grid["dtn_eta"])
             nodes_per_diameter, dtn_gap = float(grid["nodes_per_diameter"]), float(grid["dtn_gap"])

@@ -123,21 +123,24 @@ def classify_nodes(grid: Grid, config: ParticleConfiguration | None,
     centers = config.centers * scale
     if np.any(centers[:, 1] - radius <= 0.0) or np.any(centers[:, 1] + radius >= grid.top):
         raise ParticleOutOfDomain("scaled disk not strictly inside the grid")
+    # every disk at once, over its box of rows j_lo..j_hi and columns
+    # i_lo..i_hi (one spare column each side), boxes padded to the largest
     x0 = -grid.width / 2.0
     r2 = radius * radius
-    for cx, cy in centers:
-        j_lo = max(0, int(math.floor((cy - radius) / grid.dy)))
-        j_hi = min(grid.ny - 1, int(math.ceil((cy + radius) / grid.dy)))
-        i_c = (cx - x0) / grid.dx
-        half_w = radius / grid.dx + 1.0
-        i_range = np.arange(int(math.floor(i_c - half_w)), int(math.ceil(i_c + half_w)) + 1)
-        i_idx = np.mod(i_range, grid.nx)
-        xs = x0 + i_range * grid.dx
-        dxp = lateral_delta(xs - cx, grid.width, periodic=True)
-        for j in range(j_lo, j_hi + 1):
-            dyp = j * grid.dy - cy
-            inside = dxp * dxp + dyp * dyp < r2
-            tags[j, i_idx[inside]] = NodeClass.PARTICLE_DIRICHLET
+    cx, cy = centers[:, :1, None], centers[:, 1:, None]
+    j_lo = np.maximum(0, np.floor((cy - radius) / grid.dy)).astype(np.int64)
+    j_hi = np.minimum(grid.ny - 1, np.ceil((cy + radius) / grid.dy)).astype(np.int64)
+    i_c = (cx - x0) / grid.dx
+    half_w = radius / grid.dx + 1.0
+    i_lo = np.floor(i_c - half_w).astype(np.int64)
+    i_hi = np.ceil(i_c + half_w).astype(np.int64)
+    j = j_lo + np.arange(int((j_hi - j_lo).max()) + 1)[:, None]
+    i = i_lo + np.arange(int((i_hi - i_lo).max()) + 1)
+    dxp = lateral_delta(x0 + i * grid.dx - cx, grid.width, periodic=True)
+    dyp = j * grid.dy - cy
+    inside = (dxp * dxp + dyp * dyp < r2) & (j <= j_hi) & (i <= i_hi)
+    rows, cols = np.broadcast_arrays(j, np.mod(i, grid.nx))
+    tags[rows[inside], cols[inside]] = NodeClass.PARTICLE_DIRICHLET
     return tags
 
 

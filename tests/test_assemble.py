@@ -1,10 +1,13 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from helmlayer import DtnSpec, LayerSpec, NodeClass, build_grid, classify_nodes
+from helmlayer import (DtnSpec, LayerSpec, NodeClass, ParticleConfiguration, build_grid,
+                       classify_nodes)
 from helmlayer.assemble import Sources, assemble
 from helmlayer.grid import dtn_apply, dtn_multipliers
 
@@ -73,8 +76,6 @@ def test_flux_jump_enters_rhs_scaled():
 
 def test_dirichlet_rows_are_identity():
     layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
-    from helmlayer import ParticleConfiguration
-
     config = ParticleConfiguration(np.array([[0.0, 4.0]]), layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.2)
     tags = classify_nodes(grid, config)
@@ -184,3 +185,120 @@ def test_operator_dtype_follows_the_problem():
     for system in complex_systems:
         assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)
         assert system.bordered()[0].dtype == np.complex128
+
+
+def _coo_reference(grid, tags, problem_kind, bottom, dtn, dtype, k=0.0, gamma=0.0,
+                   sources=Sources()):
+    """Operator and rhs from per-stencil COO triplets, duplicates summed by scipy."""
+    nx, n = grid.nx, grid.n_nodes
+    dx2, dy2, dy = grid.dx ** 2, grid.dy ** 2, grid.dy
+    wrap = [np.exp(sign * 1j * dtn.k1 * grid.width) if dtn.k1 else 1.0 for sign in (-1, 1)]
+    dirichlet = tags.ravel() == NodeClass.PARTICLE_DIRICHLET
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n, dtype=dtype)
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.broadcast_to(np.asarray(v, dtype=dtype), r.shape))
+
+    d = np.flatnonzero(dirichlet)
+    add(d, d, 1.0)
+    r = np.arange(nx, n - nx)
+    r = r[~dirichlet[r]]
+    i = r % nx
+    add(r, r, 2.0 / dx2 + 2.0 / dy2 - (k * k if problem_kind == "helmholtz" else 0.0))
+    add(r, r - i + (i - 1) % nx, np.where(i == 0, -wrap[0] / dx2, -1.0 / dx2))
+    add(r, r - i + (i + 1) % nx, np.where(i == nx - 1, -wrap[1] / dx2, -1.0 / dx2))
+    add(r, r - nx, -1.0 / dy2)
+    add(r, r + nx, -1.0 / dy2)
+    if sources.volume is not None:
+        rhs[r] = np.asarray(sources.volume, dtype=dtype).ravel()[r]
+    if sources.flux_jump_height is not None:
+        jump = grid.j_of_height(sources.flux_jump_height) * nx + np.arange(nx)
+        rhs[jump[~dirichlet[jump]]] += sources.flux_jump_value / dy
+    b = np.flatnonzero(~dirichlet[:nx])
+    add(b, b, 1.5 / dy + (1j * k * gamma if bottom == "robin" else 0.0))
+    add(b, b + nx, -2.0 / dy)
+    add(b, b + 2 * nx, 0.5 / dy)
+    if sources.bottom_neumann is not None:
+        rhs[b] = np.asarray(sources.bottom_neumann, dtype=dtype)[b]
+    s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
+    t = np.arange(n - nx, n)
+    for shift, v in ((0, 1.5), (nx, -2.0), (2 * nx, 0.5)):
+        add(t, t - shift, s * v / dy)
+    if sources.top_forcing is not None:
+        rhs[t] = sources.top_forcing
+    coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n))
+    return coo.tocsr(), rhs
+
+
+def _oracle_case(name):
+    """(grid, tags, assemble arguments) of one oracle case."""
+    layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
+    # two disks straddle the seam x = +-5, one sits inside
+    config = ParticleConfiguration(np.array([[-4.93, 3.01], [4.71, 6.02], [0.3, 4.5]]),
+                                   layer, seed=0)
+    grid = build_grid(10.0, 8.0, 0.2, interface_heights=(2.0,))
+    tags = classify_nodes(grid, config)
+    rng = np.random.default_rng(3)
+    nx, ny = grid.nx, grid.ny
+    lap = DtnSpec(kind="laplace_periodic", n_modes=6)
+    k, k1 = 1.0, math.sin(0.7)
+    helm = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1)
+    complex_data = Sources(volume=rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx)),
+                           bottom_neumann=rng.normal(size=nx) - 2j,
+                           top_forcing=np.exp(1j * k1 * grid.x_nodes()))
+    if name.startswith("hand_tags"):
+        # Dirichlet on the bottom and top rows, seam columns included
+        tags = tags.copy()
+        tags[0, [0, 7, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
+        tags[-1, [0, 11, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
+    return grid, tags, {
+        "w1_flux_jump": ("laplace", "neumann", lap, {"sources": Sources(flux_jump_height=2.0)}),
+        "laplace_real_data": ("laplace", "neumann", lap, {"sources": Sources(
+            volume=rng.normal(size=(ny, nx)), bottom_neumann=rng.normal(size=nx),
+            top_forcing=rng.normal(size=nx), flux_jump_height=2.0, flux_jump_value=0.5)}),
+        "helmholtz_robin_seam": ("helmholtz", "robin", helm,
+                                 {"k": k, "gamma": 1 + 1j, "sources": complex_data}),
+        "hand_tags": ("helmholtz", "robin", helm, {"k": k, "gamma": 0.5 - 1j,
+                                                   "sources": complex_data}),
+        "hand_tags_real": ("laplace", "neumann", lap, {"sources": Sources(flux_jump_height=2.0)}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["w1_flux_jump", "laplace_real_data", "helmholtz_robin_seam",
+                                  "hand_tags", "hand_tags_real"])
+def test_csr_equals_coo_reference(name):
+    grid, tags, (kind, bottom, dtn, kw) = _oracle_case(name)
+    system = assemble(grid, tags, kind, bottom, dtn, **kw)
+    ref, rhs = _coo_reference(grid, tags, kind, bottom, dtn, system.rhs.dtype, **kw)
+    got = system.local
+    assert (tags == NodeClass.PARTICLE_DIRICHLET)[:, [0, -1]].any(axis=0).all()  # seam reached
+    assert got.has_canonical_format and ref.has_canonical_format
+    for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr),
+                 (system.rhs, rhs)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_assembly_memory_is_linear_in_the_output():
+    # ~125k nodes, complex Helmholtz with seam phase and particles
+    grid = build_grid(70.0, 71.6, 0.2)
+    layer = LayerSpec(h=70.0, delta=0.05, width=70.0)
+    centers = np.column_stack([np.linspace(-30.0, 30.0, 10), np.full(10, 30.0)])
+    tags = classify_nodes(grid, ParticleConfiguration(centers, layer, seed=0))
+    k, k1 = 1.0, math.sin(0.7)
+    dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=k, k1=k1)
+    forcing = Sources(top_forcing=np.ones(grid.nx, dtype=complex))
+    tracemalloc.start()
+    try:
+        system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j,
+                          sources=forcing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a = system.local
+    out = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes + system.rhs.nbytes
+    assert 120_000 <= system.n <= 130_000
+    assert peak <= 2.0 * out

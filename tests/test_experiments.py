@@ -155,7 +155,9 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(bad), "sample"]) == 3
     missing = tmp_path / "missing.json"
     assert main(["--config", str(missing), "sample"]) == 3
-    for user in ({"n_samples": "x"}, {"grid": {"target_dx": "a"}}):
+    for user in ({"n_samples": "x"}, {"grid": {"target_dx": "a"}}, {"n_samples": 2.7},
+                 {"master_seed": 3.9}, {"n_samples": True}, {"master_seed": False},
+                 {"n_samples": float("inf")}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
     bad.write_bytes(b'{"output_dir": "\xff"}')  # not UTF-8

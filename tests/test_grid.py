@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec, NodeClass,
-                       ParticleConfiguration, ParticleOutOfDomain, build_grid,
-                       choose_n_modes, classify_nodes, dtn_apply, quasi_mode)
+                       ParticleConfiguration, ParticleOutOfDomain, PointProcessParams,
+                       build_grid, choose_n_modes, classify_nodes, dtn_apply, quasi_mode,
+                       sample_matern)
+from helmlayer.geometry import lateral_delta
 
 
 def test_build_grid_interface_on_line():
@@ -72,6 +74,38 @@ def test_classify_seam_disk_matches_bruteforce():
     left = (tags[:, :10] == NodeClass.PARTICLE_DIRICHLET).sum()
     right = (tags[:, -10:] == NodeClass.PARTICLE_DIRICHLET).sum()
     assert left > 0 and right > 0
+
+
+def _classify_per_disk(grid, config, scale):
+    """Disk-by-disk, row-by-row classification with the package's formula."""
+    tags = classify_nodes(grid, None)
+    x0, r2 = -grid.width / 2.0, scale * scale
+    for cx, cy in config.centers * scale:
+        j_lo = max(0, math.floor((cy - scale) / grid.dy))
+        j_hi = min(grid.ny - 1, math.ceil((cy + scale) / grid.dy))
+        i_c, half_w = (cx - x0) / grid.dx, scale / grid.dx + 1.0
+        i_range = np.arange(math.floor(i_c - half_w), math.ceil(i_c + half_w) + 1)
+        dxp = lateral_delta(x0 + i_range * grid.dx - cx, grid.width, periodic=True)
+        for j in range(j_lo, j_hi + 1):
+            dyp = j * grid.dy - cy
+            inside = dxp * dxp + dyp * dyp < r2
+            tags[j, np.mod(i_range, grid.nx)[inside]] = NodeClass.PARTICLE_DIRICHLET
+    return tags
+
+
+@pytest.mark.parametrize("width, top, dx, scale", [
+    (20.0, 8.0, 0.2, 1.0),    # the corrector cell
+    (20.0, 8.0, 0.13, 1.0),   # nodes off the disk lattice
+    (10.0, 5.0, 0.0625, 0.5),  # the reference problem: centers and radius scaled
+])
+def test_classify_equals_per_disk_loop(width, top, dx, scale):
+    # seven disks, one across the seam
+    config = sample_matern(PointProcessParams(kind="matern2", rho=0.8),
+                           LayerSpec(h=5.0, delta=0.05, width=20.0), seed=3)
+    grid = build_grid(width, top, dx)
+    got = classify_nodes(grid, config, scale=scale)
+    assert np.array_equal(got, _classify_per_disk(grid, config, scale))
+    assert (got[:, [0, -1]] == NodeClass.PARTICLE_DIRICHLET).any(axis=0).all()
 
 
 def test_classify_rejects_disk_outside_vertical_extent():
