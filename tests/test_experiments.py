@@ -63,6 +63,8 @@ def test_config_epsilon_list_validation():
         ExperimentConfig.from_dict({"epsilon_list": [0.1, 0.2]})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"epsilon_list": [0.1, -0.2]})
+    with pytest.raises(ConfigError, match="finite"):  # NaN <= 0 is false
+        ExperimentConfig.from_dict({"epsilon_list": [float("nan")]})
     cfg = ExperimentConfig.from_dict({"epsilon_list": [0.2, 0.1]})
     assert cfg.epsilon_list == (0.2, 0.1)
 
@@ -78,6 +80,7 @@ def test_config_defaults_and_derived_epsilons():
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_samples": 0})
+    assert ExperimentConfig.from_dict({"n_samples": 1}).n_samples == 1  # a one-sample sweep
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"scenario": "other"})
     with pytest.raises(ConfigError):
@@ -157,9 +160,16 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(missing), "sample"]) == 3
     for user in ({"n_samples": "x"}, {"grid": {"target_dx": "a"}}, {"n_samples": 2.7},
                  {"master_seed": 3.9}, {"n_samples": True}, {"master_seed": False},
-                 {"n_samples": float("inf")}):
+                 {"n_samples": float("inf")}, {"grid": {"target_dx": float("nan")}},
+                 {"grid": {"target_dx": float("inf")}}, {"grid": {"dtn_eta": float("nan")}},
+                 {"grid": {"nodes_per_diameter": float("inf")}}, {"grid": {"dtn_gap": float("nan")}},
+                 {"epsilon_list": [0.2, float("nan")]}, {"epsilon_list": [float("inf"), 0.1]}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
+    # one sample is a valid config (a sweep may run one), but no c1 study
+    bad.write_text(json.dumps({"n_samples": 1, "output_dir": str(tmp_path / "out")}))
+    assert main(["--config", str(bad), "c1"]) == 3
+    assert not (tmp_path / "out").exists()
     bad.write_bytes(b'{"output_dir": "\xff"}')  # not UTF-8
     assert main(["--config", str(bad), "sample"]) == 3
 
