@@ -12,16 +12,13 @@ kept out of the sparse "local" matrix. The exact operator (matvec,
 residual) applies it through lateral FFTs (grid.dtn_apply). The solver
 keeps rows up to the cut row above the particles and eliminates the
 particle-free strip above them mode by mode, so the closure reaches the
-reduced system only as a circulant on the cut row (on the top row itself
-when the strip is empty). Below solver.INTERFACE_NX lateral nodes that
-circulant is merged densely into the factored matrix; from it on only the
-particle band under the cut row is factored, and the cut row is solved by
-GMRES on its Schur complement, the circulant applied by FFT and inverted
-per mode as the preconditioner. Two explicit forms of the operator remain,
-and the solver uses neither: `materialize` merges the modal map into the
-top rows as a dense block, built by the solver's own circulant code
-(grid.circulant, with_top_block), and `bordered` adds one auxiliary
-unknown per retained mode, coupled through the phased DFT of the top trace.
+reduced system only as a phased circulant on the cut row (on the top row
+itself when the strip is empty). `with_circulant` adds such a circulant to a
+sparse matrix, kept on a band of its wrapped offsets: the solver keeps a
+narrow band in its factor (the whole circulant on narrow rows), and
+`materialize` the whole modal map on the top rows. `bordered` adds one
+auxiliary unknown per retained mode instead, coupled through the phased DFT
+of the top trace; the solver uses neither explicit form.
 
 A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
 quasi-momentum) and real source data (the W1 corrector) is real: no i k
@@ -46,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ShapeMismatch, UnsnappedInterface
-from .grid import DtnSpec, Grid, NodeClass, circulant, dtn_apply, dtn_multipliers
+from .grid import DtnSpec, Grid, NodeClass, circulant_offsets, dtn_apply, dtn_multipliers
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -111,13 +108,12 @@ class DiscreteSystem:
         return float(np.linalg.norm(self.matvec(x) - self.rhs) / scale)
 
     def materialize(self) -> sp.csc_matrix:
-        """Full sparse matrix with the dense modal block merged into the top rows.
-
-        The block is the solver's circulant (grid.circulant) of the multipliers.
-        """
-        lam = dtn_multipliers(self.dtn, self.grid.width, self.grid.nx)
-        return with_top_block(self.local, circulant(lam.real if self.real else lam,
-                                                       self.dtn.k1, self.grid.dx))
+        """Full sparse matrix, the whole circulant of the modal map on the top
+        rows (`with_circulant`, the solver's builder): a test oracle."""
+        nx = self.grid.nx
+        lam = dtn_multipliers(self.dtn, self.grid.width, nx)
+        return with_circulant(self.local, lam.real if self.real else lam, self.dtn.k1,
+                              self.grid.dx, circulant_offsets(nx))
 
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Exact bordered form with one auxiliary unknown per retained mode.
@@ -151,16 +147,30 @@ class DiscreteSystem:
         return full, rhs_ext, n_aux
 
 
-def with_top_block(matrix: sp.spmatrix, block: np.ndarray) -> sp.csc_matrix:
-    """`matrix` plus the dense nx x nx `block` on its last nx rows and columns, as CSC."""
+def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float,
+                   offsets: np.ndarray) -> sp.csc_matrix:
+    """`matrix` plus, on its last nx rows and columns, the phased circulant u ->
+    exp(i k1 x) ifft(symbol * fft(exp(-i k1 x) u)) kept on the wrapped offsets
+    `offsets` (grid.circulant_offsets), as CSC. Entry (i, l) on o = (i - l) mod
+    nx is ifft(symbol)[o] exp(i k1 dx (i - l)): phased by the true column
+    offset, which differs from o by nx across the seam, each evaluated once."""
     import scipy.sparse as sp
 
-    n, nx = matrix.shape[0], len(block)
+    n, nx = matrix.shape[0], len(symbol)
+    kernel = np.fft.ifft(symbol)
+    if np.isrealobj(symbol):
+        kernel = kernel.real
+    col = np.arange(nx)[:, None]
+    rows = np.sort((col + offsets) % nx, axis=1)  # column l's rows, ascending
+    true = np.arange(1 - nx, nx)  # every true column offset i - l
+    entry = kernel[true % nx]
+    if k1 != 0.0:
+        entry = entry * np.exp(1j * k1 * dx * true)
+    vals = entry[rows - col + nx - 1]
     indptr = np.concatenate([np.zeros(n - nx, dtype=np.int32),
-                             np.arange(0, nx * nx + 1, nx, dtype=np.int32)])
-    rows = np.tile(np.arange(n - nx, n, dtype=np.int32), nx)
-    dense = sp.csc_matrix((block.ravel(order="F"), rows, indptr), shape=(n, n))
-    return matrix.tocsc() + dense
+                             np.arange(0, vals.size + 1, len(offsets), dtype=np.int32)])
+    return matrix.tocsc() + sp.csc_matrix(
+        (vals.ravel(), (n - nx + rows).ravel().astype(np.int32), indptr), shape=(n, n))
 
 
 def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,

@@ -248,23 +248,13 @@ def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
     return np.fft.ifft(lam * np.fft.fft(trace))
 
 
-def circulant(symbol: np.ndarray, k1: float, dx: float) -> np.ndarray:
-    """Dense nx x nx matrix B of the lateral map diagonal in the phased modes.
-
-    B u = exp(i k1 x) ifft(symbol * fft(exp(-i k1 x) u)), symbol in numpy FFT
-    ordering. B[i, l] = ifft(symbol)[(i - l) % nx] exp(i k1 (i - l) dx)
-    depends on i - l alone, so only its 2 nx - 1 offsets are evaluated, never
-    the phase on all nx^2 entries. Real for a real symbol with k1 = 0;
-    returned in Fortran order (contiguous columns).
-    """
-    nx = len(symbol)
-    p = np.fft.ifft(symbol)
-    if np.isrealobj(symbol):
-        p = p.real
-    t = np.concatenate([p[1:], p])  # t[nx - 1 + i - l]
-    if k1 != 0.0:
-        t *= np.exp(1j * k1 * dx * np.arange(1 - nx, nx))
-    return np.lib.stride_tricks.sliding_window_view(t, nx)[::-1].T.copy(order="F")
+def circulant_offsets(nx: int, half_width: int | None = None) -> np.ndarray:
+    """Wrapped offsets |o| <= half_width of an nx-wide circulant, clamped to
+    (nx - 1) // 2 so that none alias modulo nx; None keeps all nx offsets."""
+    if half_width is None:
+        return np.arange(nx) - (nx - 1) // 2
+    w = min(half_width, (nx - 1) // 2)
+    return np.arange(-w, w + 1)
 
 
 def quasi_mode(width: float, nx: int, m: int, k1: float = 0.0) -> np.ndarray:

@@ -15,55 +15,52 @@ top is that one stencil; its coefficients are read from the sparse operator
 itself and checked row by row, so the cut is exact for whatever matrix the
 system holds. A backward sweep over the strip rows, vectorised over the
 modes, eliminates them as v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0 then carries
-the dense phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical coupling)
-and its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are solved. A
-forward sweep rebuilds the strip, so callers always get the full field.
-The circulant's dense form is grid.circulant, the code that also builds
-DiscreteSystem.materialize's modal block from the multipliers themselves.
-When fewer than two such rows lie under the top (or the rows above the
-particles are not one stencil) the strip is empty and the circulant on the
-top row is the modal map itself: the same reduced system, with no sweep.
+the phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical coupling) and
+its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are solved. A forward
+sweep rebuilds the strip, so callers always get the full field. When fewer
+than two such rows lie under the top (or the rows above the particles are
+not one stencil) the strip is empty and the circulant on the top row is the
+modal map itself: the same reduced system, with no sweep.
 
-Rows 0..j0 are solved in one of two forms, chosen by the cut row's width nx
-alone. Below INTERFACE_NX they are factored whole, dense nx x nx block and
-all, and SuperLU spends O(nx^3) on that block. From INTERFACE_NX on, only
-the particle band B (rows 0..j0-1) is factored, and row j0 is solved for by
-GMRES on its Schur complement S v = R v - A21 B^-1 (A12 v): A12 and A21 are
-the sparse couplings of rows j0-1 and j0, R is row j0's own block, its local
-entries plus the circulant, applied by lateral FFT and never formed. The
-preconditioner is R inverted mode by mode (d_m + symbol_m, d_m the in-row
-stencil's symbol), on the right, so GMRES minimises the true interface
-residual; one band solve back-substitutes the particle rows. Times of one
-solve with its setup, each form, on a 2-vCPU VM (GMRES iterations in
-brackets):
+Rows 0..j0 are solved in one form. SuperLU factors them with row j0's
+circulant kept on its wrapped offsets |o| <= w = CUT_HALF_WIDTH, a band of
+(2w+1) nx entries (assemble.with_circulant, which also builds
+DiscreteSystem.materialize). The kernel falls off like 1/offset^2, so
+unrestarted GMRES on row j0 alone, one triangular solve per iteration,
+corrects for the dropped tail, applied by lateral FFT and never formed.
+Below INTERFACE_NX nodes the band is the whole circulant: one factor, one
+triangular solve. w = 4 takes 20 and 21 iterations at nx 884 and 1768, w = 2
+25 and 26 for 3 MB less. One solve with its setup (2-vCPU VM, one BLAS
+thread, median of 3) against the forms this one replaced, the dense nx x nx
+block in the factor below 600 nodes, else rows 0..j0-1 factored and GMRES
+preconditioned per mode by row j0's block; iterations in brackets, and the
+relative residual before refinement:
 
-    system                               nx   direct   band + GMRES
-    W1 cell, width 20                   100     7 ms     19 ms (27)
-    Helmholtz, period 50, k2 eps 0.2    221    28 ms     39 ms (40)
-    Helmholtz, period 50, k2 eps 0.1    442    63 ms     74 ms (42)
-    Helmholtz, period 50, k2 eps 0.05   884   315 ms    250 ms (47)
-    Helmholtz, period 50, k2 eps 0.025 1768   1.83 s    0.57 s (48)
-    W1 cell, width 400                 2000   1.56 s    0.47 s (51)
-    Helmholtz, period 100, k2 eps 0.025 3536  10.4 s    1.26 s (52)
+    system                               nx   earlier form    this form       residual
+    W1 cell, width 20                   100    13 ms           13 ms (0)      6.1e-14
+    Helmholtz, period 50, k2 eps 0.2    221    49 ms           43 ms (16)     2.6e-13
+    Helmholtz, period 50, k2 eps 0.1    442   112 ms           82 ms (18)     8.0e-13
+    Helmholtz, period 50, k2 eps 0.05   884   326 ms (47)     204 ms (20)     2.5e-12
+    Helmholtz, period 50, k2 eps 0.025 1768   620 ms (48)     437 ms (21)     9.1e-12
+    W1 cell, width 400                 2000   607 ms (51)     395 ms (21)     2.2e-13
+    Helmholtz, period 100, k2 eps 0.025 3536  1.62 s (52)     0.95 s (22)     1.2e-11
 
-The forms cross near nx 650 for the complex Helmholtz systems and below
-500 for the real W1 cell; INTERFACE_NX lies between, where either form is
-within about 20 % of the other. The GMRES is unrestarted, in the factor's
-dtype, and stops at GMRES_TOL relative to its right-hand side; that leaves
-the unrefined residual at 1.2e-11 at nx 3536, under TOL (it grows with nx,
-in both forms alike). GMRES_MAX_ITER iterations without convergence raise
-NoConvergence. With an empty strip the preconditioner takes the mean
-diagonal of the top row's own block, exact for the assembled one-sided top
-row, which has no lateral entries.
+The band overtakes the whole circulant between nx 160 and 200 (W1 cells of
+width 30 and 40, a Helmholtz cell at nx 160). The unrefined residual follows
+the grid spacing, not the width: x3.5 per halving of the Helmholtz dx, x1.4
+from period 50 to 100. GMRES runs in the factor's dtype to GMRES_TOL
+relative to its right-hand side, and raises NoConvergence after
+GMRES_MAX_ITER iterations. SuperLU's panel of 4 columns holds the nx-1768
+factor's memory growth to 15 MB against 36 MB at the default, no slower.
 
 Up to two steps of iterative refinement against the exact operator on the
 full grid, which applies the modal map through its own FFT code, bring the
 residual under TOL; each refinement residual is reduced by the same sweep
 and solved in the same form. An exactly zero pivot, a constant kernel or a
 zero or non-finite denominator of the strip recursion raises
-SingularSystem; a residual that stays above TOL (or is not finite), or an
-interface GMRES that does not converge, raises NoConvergence; an allocation
-failure while building or factoring the reduced matrix or the band raises
+SingularSystem; a residual that stays above TOL (or is not finite), or a
+cut-row GMRES that does not converge, raises NoConvergence; an allocation
+failure while building or factoring the reduced matrix raises
 FactorTooLarge.
 
 SuperLU factors in symmetric mode: a multiple-minimum-degree ordering of
@@ -89,7 +86,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assemble import DiscreteSystem, with_top_block
+from .assemble import DiscreteSystem, with_circulant
 from .errors import FactorTooLarge, NoConvergence, SingularSystem
 from . import grid as _grid
 
@@ -98,14 +95,19 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 TOL = 1e-10
-INTERFACE_NX = 600  # cut rows this wide and wider: band factor + interface GMRES
+INTERFACE_NX = 200  # cut rows this wide and wider keep a band of their circulant
+CUT_HALF_WIDTH = 4  # wrapped offsets |o| <= this of the cut row's circulant are factored
 GMRES_TOL = 1e-13
 GMRES_MAX_ITER = 200
 
 
 @dataclass
 class SolveReport:
+    """Relative residual, and the cut-row GMRES iterations summed over the
+    refinement steps (0 when the factor holds the whole circulant)."""
+
     residual: float
+    iterations: int
 
 
 def _run_start(ok: np.ndarray) -> int:
@@ -175,8 +177,7 @@ class _Cut:
 
     p[s] and den[s] belong to strip row j0+1+s: v_{j+1} = p v_j + q in the
     (de-phased) lateral DFT of each row, den the pivot that q is divided by.
-    symbol is the circulant the strip leaves on row j0, and d the symbol of
-    row j0's own local entries, per mode.
+    symbol is the circulant the strip leaves on row j0, per mode.
     """
 
     def __init__(self, system: DiscreteSystem) -> None:
@@ -195,13 +196,10 @@ class _Cut:
         self.p = None
         if coef is None:
             self.symbol = lam
-            # the assembled one-sided top row has no lateral entries
-            top = slice(self.j0 * self.nx, self.n)
-            self.d = a[top, top].diagonal().mean()
             return
         c, lat, self.b, t0, t1, self.t2 = coef
         zeta = 2.0 * np.pi * np.arange(grid.nx) / grid.width + k1
-        d = self.d = c + 2.0 * lat * np.cos(zeta * grid.dx)
+        d = c + 2.0 * lat * np.cos(zeta * grid.dx)
         n_strip = grid.ny - 1 - self.j0
         self.den = np.empty((n_strip, grid.nx), dtype=np.result_type(d, lam))
         self.p = np.empty_like(self.den)
@@ -230,15 +228,20 @@ class _Cut:
             rows *= self.phase
         return rows.real if self.dtype == np.float64 else rows
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Wrapped offsets of row j0's circulant kept in the factor: all nx
+        below INTERFACE_NX, else |o| <= CUT_HALF_WIDTH."""
+        return _grid.circulant_offsets(self.nx, None if self.nx < INTERFACE_NX else CUT_HALF_WIDTH)
+
     def matrix(self) -> sp.csc_matrix:
-        """Rows and columns 0..j0 of the operator, the dense circulant added on row j0."""
-        nx, n = self.nx, self.n
+        """Rows and columns 0..j0 of the operator, row j0's circulant kept on `offsets`."""
+        n = self.n
         try:
-            block = _grid.circulant(self.symbol, self.k1, self.dx).astype(self.dtype, copy=False)
-            return with_top_block(self.local[:n, :n], block)
+            return with_circulant(self.local[:n, :n], self.symbol, self.k1, self.dx,
+                                  self.offsets).astype(self.dtype, copy=False)
         except MemoryError as exc:
-            raise FactorTooLarge(f"no memory for the {n}-unknown reduced matrix "
-                                 f"with its {nx}x{nx} cut block") from exc
+            raise FactorTooLarge(f"no memory for the {n}-unknown reduced matrix") from exc
 
     def reduce(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Rhs of rows 0..j0 with the strip folded in, and the strip's q terms."""
@@ -268,43 +271,38 @@ class _Cut:
             prev = v[s] = self.p[s] * prev + q[s]
         return np.concatenate([x, self._from_modes(v).ravel()])
 
+    def solver(self) -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
+        """Solve of rows 0..j0 for a reduced rhs, and its GMRES iterations.
 
-    def solver(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve of rows 0..j0 for a reduced rhs.
-
-        Below INTERFACE_NX: one factor of `matrix()`, dense cut block included.
-        From it on: the band B (rows 0..j0-1) is factored alone, and row j0
-        solves by GMRES on its Schur complement S = R - A21 B^-1 A12, R row
-        j0's own block applied by lateral FFT, right-preconditioned by R
-        inverted per mode.
+        M, the factored `matrix()`, differs from the reduced operator by the
+        dropped tail E of row j0's circulant, applied by lateral FFT. With P
+        picking row j0, GMRES solves (I + P M^-1 P^T E) u = P M^-1 r for u,
+        row j0 of the solution, and x = M^-1 r - M^-1 P^T E u.
         """
-        if self.nx < INTERFACE_NX:
-            return _factorize(self.matrix()).solve
-        m, n = self.n - self.nx, self.n
-        try:
-            band = _factorize(self.local[:m, :m].tocsc().astype(self.dtype, copy=False))
-            up, down, own = self.local[:m, m:n], self.local[m:n, :m], self.local[m:n, m:n]
-        except MemoryError as exc:
-            raise FactorTooLarge(f"no memory for the {m}-unknown band under the cut row") from exc
-        modal = self.d + self.symbol
+        nx, n, offsets = self.nx, self.n, self.offsets
+        lu = _factorize(self.matrix())
+        if len(offsets) == nx:  # the whole circulant: E = 0
+            return lambda r: (lu.solve(r), 0)
+        dropped = np.fft.ifft(self.symbol)
+        dropped[offsets] = 0.0
+        tail = np.fft.fft(dropped)
 
-        def precondition(w: np.ndarray) -> np.ndarray:
-            return self._from_modes(self._to_modes(w) / modal)
+        def lift(u: np.ndarray) -> np.ndarray:  # M^-1 P^T E u
+            e = np.zeros(n, dtype=self.dtype)
+            e[-nx:] = self._from_modes(tail * self._to_modes(u))
+            return lu.solve(e)
 
-        def schur(w: np.ndarray) -> np.ndarray:  # S M^-1 w
-            v = precondition(w)
-            return (own @ v + self._from_modes(self.symbol * self._to_modes(v))
-                    - down @ band.solve(up @ v))
-
-        def solve_rows(r: np.ndarray) -> np.ndarray:
-            v = precondition(_gmres(schur, r[m:] - down @ band.solve(r[:m])))
-            return np.concatenate([band.solve(r[:m] - up @ v), v])
+        def solve_rows(r: np.ndarray) -> tuple[np.ndarray, int]:
+            y = lu.solve(r)
+            u, iterations = _gmres(lambda v: v + lift(v)[-nx:], y[-nx:])
+            return y - lift(u), iterations
 
         return solve_rows
 
 
-def _gmres(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Unrestarted GMRES from zero for op(x) = b to GMRES_TOL relative residual.
+def _gmres(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unrestarted GMRES from zero for op(x) = b to GMRES_TOL relative residual,
+    and its iteration count.
 
     Modified Gram-Schmidt Arnoldi with Givens rotations, in b's dtype; the
     basis grows one vector per iteration, and GMRES_MAX_ITER iterations
@@ -314,7 +312,7 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
     if not np.isfinite(beta):
         raise NoConvergence("non-finite interface right-hand side")
     if beta == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0
     basis, cols, rots, g = [b / beta], [], [], [beta]
     for k in range(GMRES_MAX_ITER):
         w = op(basis[k])
@@ -340,7 +338,7 @@ def _gmres(op: Callable[[np.ndarray], np.ndarray], b: np.ndarray) -> np.ndarray:
     for j in range(len(cols) - 1, -1, -1):  # back-substitute the rotated Hessenberg
         y[j] /= cols[j][j]
         y[:j] -= y[j] * cols[j][:j]
-    return y @ np.array(basis)
+    return y @ np.array(basis), len(cols)
 
 
 def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
@@ -348,7 +346,7 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
 
     try:
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
+                         panel_size=4, options=dict(SymmetricMode=True))
     except (MemoryError, RuntimeError) as exc:
         # SuperLU reports exact singularity as a RuntimeError, and an allocation
         # that fails outside the numeric factorisation too ("SUPERLU_MALLOC fails")
@@ -370,20 +368,19 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
 
     Raises SingularSystem on rank deficiency (never returns a garbage
     vector), NoConvergence when refinement leaves the residual above TOL or
-    the interface GMRES does not converge, and FactorTooLarge when the
+    the cut-row GMRES does not converge, and FactorTooLarge when the
     factor cannot be allocated.
     """
     cut = _Cut(system)
     reduced = cut.solver()
+    x, iterations, res = np.zeros(system.n, dtype=cut.dtype), 0, np.inf
     try:
-        r, q = cut.reduce(system.rhs)
-        x = cut.extend(reduced(r), q)
-        res = system.residual(x)
-        for _ in range(2):  # iterative refinement against the exact operator
+        for _ in range(3):  # the solve and up to two refinement steps, against the exact operator
             if res <= TOL:
                 break
             r, q = cut.reduce(system.rhs - system.matvec(x))
-            x = x + cut.extend(reduced(r), q)
+            v, its = reduced(r)
+            x, iterations = x + cut.extend(v, q), iterations + its
             res = system.residual(x)
         if not res <= TOL:  # also catches a NaN residual
             raise NoConvergence(f"residual {res:.3e} above tol {TOL:.1e}")
@@ -391,4 +388,4 @@ def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
         if _kernel_check(system):
             raise SingularSystem(f"constant kernel detected: {exc}") from exc
         raise
-    return x, SolveReport(residual=res)
+    return x, SolveReport(residual=res, iterations=iterations)

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from helmlayer import (DtnSpec, LayerSpec, NodeClass, ParticleConfiguration, build_grid,
                        classify_nodes)
-from helmlayer.assemble import Sources, assemble
-from helmlayer.grid import dtn_apply, dtn_multipliers
+from helmlayer.assemble import Sources, assemble, with_circulant
+from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
 
 
 def _laplace_neumann_system(nx_width=10.0, top=8.0, dx=0.2, jump=None):
@@ -144,6 +144,48 @@ def test_materialized_matches_matrix_free(make_system):
         assert y_real.dtype == np.float64
         assert np.linalg.norm((y_real - system.local @ x.real)[system.top] - modal.real) \
             <= 1e-12 * np.linalg.norm(modal)
+
+
+def _dense_circulant(symbol, k1, dx):
+    """B[i, l] = ifft(symbol)[(i - l) % nx] exp(i k1 dx (i - l)), every entry."""
+    nx = len(symbol)
+    kernel = np.fft.ifft(symbol)
+    if np.isrealobj(symbol):
+        kernel = kernel.real
+    d = np.subtract.outer(np.arange(nx), np.arange(nx))
+    return kernel[d % nx] * np.exp(1j * k1 * dx * d) if k1 != 0.0 else kernel[d % nx]
+
+
+def _symbol(nx, k1):
+    rng = np.random.default_rng(nx)
+    return rng.normal(size=nx) + 1j * rng.normal(size=nx) if k1 else rng.normal(size=nx)
+
+
+@pytest.mark.parametrize("nx", [20, 21])
+@pytest.mark.parametrize("k1", [0.0, math.sin(math.pi / 4.0)])
+def test_circulant_builder_at_full_width_is_the_dense_circulant(nx, k1):
+    symbol, dx = _symbol(nx, k1), 0.2
+    out = with_circulant(sp.csr_matrix((nx + 3, nx + 3)), symbol, k1, dx,
+                         circulant_offsets(nx)).toarray()
+    assert out.dtype == (np.float64 if k1 == 0.0 else np.complex128)
+    assert not out[:3].any() and not out[:, :3].any()
+    assert np.array_equal(out[3:, 3:], _dense_circulant(symbol, k1, dx))
+
+
+@pytest.mark.parametrize("nx", [4, 5, 20, 21])
+@pytest.mark.parametrize("half_width", [1, 2, 4])
+def test_circulant_band_keeps_each_offset_once(nx, half_width):
+    # on a row with nx <= 2w+1 the band is clamped, and no offset aliases
+    k1, dx = math.sin(math.pi / 4.0), 0.2
+    offsets = circulant_offsets(nx, half_width)
+    assert len(offsets) == min(2 * half_width + 1, 2 * ((nx - 1) // 2) + 1)
+    assert len(np.unique(offsets % nx)) == len(offsets)
+    symbol = _symbol(nx, k1)
+    band = with_circulant(sp.csr_matrix((nx, nx)), symbol, k1, dx, offsets)
+    assert band.nnz == len(offsets) * nx
+    d = np.subtract.outer(np.arange(nx), np.arange(nx))
+    kept = np.isin(d % nx, offsets % nx)
+    assert np.array_equal(band.toarray(), np.where(kept, _dense_circulant(symbol, k1, dx), 0.0))
 
 
 @FACTORED_FORM_CASES

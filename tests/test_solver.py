@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def test_empty_w1_raises_singular_direct(empty_realization):
 
 
 def test_empty_w1_raises_singular_through_the_interface_form(empty_realization, monkeypatch):
-    # the band alone is regular; its Schur complement keeps the constant kernel
+    # the banded factor is regular; the dropped tail of the circulant restores
+    # the constant kernel
     monkeypatch.setattr(solver, "INTERFACE_NX", 0)
     with pytest.raises(SingularSystem, match="constant kernel"):
         solve(_w1_system(empty_realization))
@@ -97,7 +99,7 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
     splu = spla.splu
 
     def recording_splu(matrix, *args, **kwargs):
-        factored.append(matrix.shape)
+        factored.append(matrix)
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
@@ -108,15 +110,39 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
         _nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=4)),  # 8 modes
         _w1_system(small_realization),  # 16 modes, nx 100
     ]
+    band = 2 * solver.CUT_HALF_WIDTH + 1
     for system in cases:
         j0, nx = _first_row_above_particles(system), system.grid.nx
-        # the direct form factors rows 0..j0, the interface form the band 0..j0-1
-        for threshold, n in ((nx + 1, (j0 + 1) * nx), (nx, j0 * nx)):
+        n = (j0 + 1) * nx
+        # both forms factor rows 0..j0; row j0 keeps its whole circulant below
+        # INTERFACE_NX, and from it on a band of 2w+1 offsets and GMRES iterations
+        for threshold, cut_entries in ((nx + 1, nx * nx), (nx, band * nx)):
             monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
             factored.clear()
             _, report = solve(system)
-            assert factored == [(n, n)]
+            (matrix,) = factored
+            assert matrix.shape == (n, n)
+            assert matrix[n - nx:, n - nx:].nnz == cut_entries
+            assert (report.iterations > 0) == (threshold == nx)
             assert report.residual <= solver.TOL
+
+
+def test_wide_cut_row_builds_no_dense_block():
+    # nx 2000 and no particles: rows 0..2 are factored, and the set-up peaks
+    # at about 3.5 MB, under half of one float64 nx x nx array
+    grid = build_grid(400.0, 2.0, 0.2)
+    system = assemble(grid, classify_nodes(grid, None), "helmholtz", "robin",
+                      DtnSpec(kind="helmholtz_quasiperiodic", n_modes=1000, k=1.0, k1=0.3),
+                      k=1.0, gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+    nx = grid.nx
+    assert nx >= solver.INTERFACE_NX
+    tracemalloc.start()
+    try:
+        solver._Cut(system).solver()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nx * nx
 
 
 def test_cut_row_is_the_first_row_above_the_particles(small_realization, empty_realization):
@@ -199,11 +225,11 @@ def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
         assert 2 < cut.j0 < system.grid.ny - 3
         reduced_rhs, _ = cut.reduce(system.rhs)
         solutions = []
-        for threshold in (system.grid.nx + 1, system.grid.nx):  # direct, then interface
+        for threshold in (system.grid.nx + 1, system.grid.nx):  # whole circulant, then band
             monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
             x, report = solve(system)
             assert report.residual <= solver.TOL
-            solutions.append((cut.solver()(reduced_rhs), x))
+            solutions.append((cut.solver()(reduced_rhs)[0], x))
         for direct, interface in zip(*solutions):
             assert interface.dtype == direct.dtype == system.rhs.dtype
             assert np.linalg.norm(interface - direct) <= 1e-10 * np.linalg.norm(direct)
@@ -222,6 +248,15 @@ def test_interface_form_solves_a_zero_strip():
     x, report = solve(system)
     assert report.residual <= solver.TOL
     assert system.residual(x) == report.residual
+
+
+def test_banded_cut_row_needs_few_gmres_iterations(small_process, monkeypatch):
+    # the earlier band-only form (rows 0..j0-1 factored, row j0 by GMRES
+    # preconditioned per mode by its own block) took 46 and 36 + 36 iterations
+    monkeypatch.setattr(solver, "INTERFACE_NX", 0)
+    for system, before in ((_wide_w1_system(), 46), (_reference_system(small_process, 0.1), 72)):
+        _, report = solve(system)
+        assert 0 < report.iterations <= 0.6 * before
 
 
 def test_interface_gmres_cap_raises_no_convergence(monkeypatch):
