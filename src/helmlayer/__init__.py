@@ -17,8 +17,8 @@ from .errors import (ConfigError, DegenerateFit, EmptyConfiguration, FactorTooLa
 from .geometry import (LayerSpec, ParticleConfiguration, PointProcessParams,
                        birkhoff_average, check_hypotheses, distance_field,
                        sample_matern, substream, weight_mu)
-from .grid import (DtnSpec, Grid, NodeClass, build_grid, choose_n_modes,
-                   classify_nodes, dtn_apply, quasi_mode)
+from .grid import (DtnSpec, Grid, NodeClass, build_grid, classify_nodes, dtn_apply,
+                   quasi_mode)
 from .assemble import DiscreteSystem, Sources, assemble
 from .solver import SolveReport, solve
 from .corrector import (C1Estimate, CorrectorConfig, CorrectorSolution, decay_profile,

@@ -1,24 +1,24 @@
 """Finite-difference assembly of Laplace/Helmholtz systems on the cell grid.
 
 Five-point second-order interior stencil, one-sided second-order bottom
-Robin/Neumann rows, identity rows on particle nodes, and a truncated modal
-map coupling the whole top line. `assemble` writes the CSR arrays of the
-sparse part in place: per-row entry counts give indptr, and every stencil
-slot goes straight to its final, column-sorted position. Memory is O(nnz)
-with no triplet lists: the traced peak is about 1.4 times the returned
-matrix and rhs (1.6 times for a W1 cell). The quasi-momentum alpha (seam
-phase and modal map alike) is the closure's DtnSpec.k1. The modal term is
-kept out of the sparse "local" matrix. The exact operator (matvec,
-residual) applies it through lateral FFTs (grid.dtn_apply). The solver
-keeps rows up to the cut row above the particles and eliminates the
+Robin/Neumann rows, identity rows on particle nodes, and a modal map on
+every lateral mode coupling the whole top line. `assemble` writes the CSR
+arrays of the sparse part in place: per-row entry counts give indptr, and
+every stencil slot goes straight to its final, column-sorted position.
+Memory is O(nnz) with no triplet lists: the traced peak is about 1.4 times
+the returned matrix and rhs (1.6 times for a W1 cell). The quasi-momentum
+alpha (seam phase and modal map alike) is the closure's DtnSpec.k1. The
+modal term is kept out of the sparse "local" matrix. The exact operator
+(matvec, residual) applies it through lateral FFTs (grid.dtn_apply). The
+solver keeps rows up to the cut row above the particles and eliminates the
 particle-free strip above them mode by mode, so the closure reaches the
 reduced system only as a phased circulant on the cut row (on the top row
 itself when the strip is empty). `with_circulant` adds such a circulant to a
 sparse matrix, kept on a band of its wrapped offsets: the solver keeps a
 narrow band in its factor (the whole circulant on narrow rows), and
 `materialize` the whole modal map on the top rows. `bordered` adds one
-auxiliary unknown per retained mode instead, coupled through the phased DFT
-of the top trace; the solver uses neither explicit form.
+auxiliary unknown per nonzero multiplier instead, coupled through the phased
+DFT of the top trace; the solver uses neither explicit form.
 
 A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
 quasi-momentum) and real source data (the W1 corrector) is real: no i k
@@ -116,12 +116,15 @@ class DiscreteSystem:
                               self.grid.dx, circulant_offsets(nx))
 
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
-        """Exact bordered form with one auxiliary unknown per retained mode.
+        """Exact bordered form with one auxiliary unknown per nonzero multiplier.
 
-        Aux k holds the coefficient of retained mode m_k in the DFT of the top
-        trace de-phased by exp(i alpha x): top rows gain the synthesis entries
-        Lambda_m exp(2 pi i m l / nx) exp(i alpha x_l), aux rows enforce the
-        analysis. The matrix is complex128. Returns (matrix, extended rhs, n_aux).
+        Aux k holds the coefficient of mode m_k (Lambda_{m_k} != 0) in the DFT
+        of the top trace de-phased by exp(i alpha x): top rows gain the
+        synthesis entries Lambda_m exp(2 pi i m l / nx) exp(i alpha x_l), aux
+        rows enforce the analysis. The matrix is complex128. Returns (matrix,
+        extended rhs, n_aux). No solve uses this form; it stays only because
+        the benchmark's span tracer (helmbench/spans.py, instrument()) looks
+        it up by name, until the benchmark reads the package's own reports.
         """
         import scipy.sparse as sp
 

@@ -18,7 +18,7 @@ import numpy as np
 from .assemble import Sources, assemble
 from .errors import NoConvergence, NumericalFailure, ShapeMismatch, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
-from .grid import DtnSpec, Grid, NodeClass, build_grid, choose_n_modes, classify_nodes
+from .grid import DtnSpec, Grid, NodeClass, build_grid, classify_nodes
 from .solver import SolveReport, solve
 
 
@@ -28,8 +28,8 @@ class CorrectorConfig:
 
     H is the flux-jump interface height (strictly above the particle layer),
     L_cell the artificial top closed by the periodic-Laplace modal map.
-    Defaults: H = h + 2 and L_cell = H + width/4, so the slowest retained
-    lateral mode decays by exp(-pi/2) across the buffer. The solver
+    Defaults: H = h + 2 and L_cell = H + width/4, so mode 1, the slowest
+    decaying lateral mode, decays by exp(-pi/2) across the buffer. The solver
     eliminates the particle-free rows above the layer mode by mode, so a
     buffer row costs O(nx) recursion work and one lateral FFT per sweep,
     not factor fill.
@@ -40,7 +40,6 @@ class CorrectorConfig:
     H: float | None = None
     L_cell: float | None = None
     target_dx: float = 0.2
-    dtn_eta: float = 1e-6
     gamma: complex = 1.0 + 1.0j
     k: float = 1.0
 
@@ -96,13 +95,6 @@ class C1Estimate:
             raise ValueError("ci95 must contain the mean")
 
 
-def _laplace_dtn(cfg: CorrectorConfig, grid: Grid) -> DtnSpec:
-    h_snap = grid.snaps[0].snapped
-    gap = grid.top - h_snap
-    n = choose_n_modes("laplace_periodic", 0.0, 0.0, grid.width, gap, cfg.dtn_eta)
-    return DtnSpec(kind="laplace_periodic", n_modes=n, eta=cfg.dtn_eta)
-
-
 def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
                   injected: float) -> dict:
     """Exact discrete telescoping of the interior balance rows.
@@ -145,13 +137,13 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
     }
 
 
-def _solve_cell(cfg: CorrectorConfig, grid: Grid, config: ParticleConfiguration,
-                sources: Sources, injected: float, kind: str) -> CorrectorSolution:
+def _solve_cell(grid: Grid, config: ParticleConfiguration, sources: Sources,
+                injected: float, kind: str) -> CorrectorSolution:
     """Laplace on the cell minus particles: homogeneous Dirichlet on particles,
     Neumann bottom, periodic-Laplace modal closure at the top, `sources` as data."""
     tags = classify_nodes(grid, config, scale=1.0)
     system = assemble(grid, tags, problem_kind="laplace", bottom="neumann",
-                      dtn=_laplace_dtn(cfg, grid), sources=sources)
+                      dtn=DtnSpec(kind="laplace_periodic"), sources=sources)
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
@@ -174,7 +166,7 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     """
     grid = cfg.cell_grid()
     jump = Sources(flux_jump_height=grid.snaps[0].snapped, flux_jump_value=1.0)
-    return _solve_cell(cfg, grid, config, jump, injected=grid.width, kind="W1")
+    return _solve_cell(grid, config, jump, injected=grid.width, kind="W1")
 
 
 def v1_bottom_trace(w1: CorrectorSolution) -> np.ndarray:
@@ -194,7 +186,7 @@ def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
     if len(v1_bottom) != grid.nx:
         raise ShapeMismatch("V1 bottom trace does not match the corrector grid")
     psi = -1j * cfg.k * cfg.gamma * np.asarray(v1_bottom, dtype=complex)
-    return _solve_cell(cfg, grid, config, Sources(bottom_neumann=psi), injected=0.0, kind="W2")
+    return _solve_cell(grid, config, Sources(bottom_neumann=psi), injected=0.0, kind="W2")
 
 
 def v1_field(w1: CorrectorSolution, c1: float) -> np.ndarray:

@@ -44,8 +44,7 @@ DEFAULT_CONFIG: dict = {
     "epsilon_list": None,
     "n_samples": 10,
     "master_seed": 20240801,
-    "grid": {"target_dx": 0.2, "dtn_eta": 1e-6, "nodes_per_diameter": 10.0,
-             "dtn_gap": 1.0},
+    "grid": {"target_dx": 0.2, "nodes_per_diameter": 10.0, "dtn_gap": 1.0},
     "output_dir": "out",
 }
 
@@ -87,7 +86,6 @@ class ExperimentConfig:
     n_samples: int
     master_seed: int
     target_dx: float
-    dtn_eta: float
     nodes_per_diameter: float
     dtn_gap: float
     output_dir: str
@@ -114,12 +112,12 @@ class ExperimentConfig:
             n_samples = _integer(merged["n_samples"], "n_samples")
             master_seed = _integer(merged["master_seed"], "master_seed")
             grid = merged["grid"]
-            target_dx, dtn_eta = float(grid["target_dx"]), float(grid["dtn_eta"])
+            target_dx = float(grid["target_dx"])
             nodes_per_diameter, dtn_gap = float(grid["nodes_per_diameter"]), float(grid["dtn_gap"])
         except (TypeError, ValueError, HelmlayerError) as exc:
             raise ConfigError(str(exc)) from exc
-        settings = {"grid.target_dx": target_dx, "grid.dtn_eta": dtn_eta,
-                    "grid.nodes_per_diameter": nodes_per_diameter, "grid.dtn_gap": dtn_gap}
+        settings = {"grid.target_dx": target_dx, "grid.nodes_per_diameter": nodes_per_diameter,
+                    "grid.dtn_gap": dtn_gap}
         for key, value in settings.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, not {value!r}")
@@ -136,7 +134,7 @@ class ExperimentConfig:
         return ExperimentConfig(
             scenario=merged["scenario"], layer=layer, process=process, wave=wave,
             gamma=gamma, epsilon_list=eps, n_samples=n_samples, master_seed=master_seed,
-            target_dx=target_dx, dtn_eta=dtn_eta, nodes_per_diameter=nodes_per_diameter,
+            target_dx=target_dx, nodes_per_diameter=nodes_per_diameter,
             dtn_gap=dtn_gap, output_dir=str(merged["output_dir"]), raw=merged,
         )
 
@@ -147,8 +145,7 @@ class ExperimentConfig:
         layer = dataclasses.replace(self.layer, periodic=True,
                                     width=self.layer.width if width is None else width)
         return CorrectorConfig(layer=layer, process=self.process,
-                               target_dx=self.target_dx, dtn_eta=self.dtn_eta,
-                               gamma=self.gamma, k=self.wave.k)
+                               target_dx=self.target_dx, gamma=self.gamma, k=self.wave.k)
 
 
 def fit_rate(pairs) -> tuple[float, float, float]:
@@ -221,7 +218,6 @@ def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
         "delta": config.layer.delta,
         "width": config.layer.width,
         "target_dx": config.target_dx,
-        "dtn_eta": config.dtn_eta,
         "master_seed": config.master_seed,
         "n_samples": n_c1,
     }
@@ -328,7 +324,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
         def one(j: int, _eps=epsilon, _scene_of=scene_of, _dx=window["dx"]):
             scene = _scene_of(j)
             try:
-                _, refl = reference_solve(scene, wave, _dx, dtn_eta=config.dtn_eta)
+                _, refl = reference_solve(scene, wave, _dx)
                 return ("ok", refl.value)
             except SAMPLE_FAILURES as exc:
                 return ("fail", f"eps={_eps:g} sample={j}: {exc}")
@@ -401,7 +397,7 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
         for dx in (2.0 * math.pi / 64.0, math.pi / 64.0):
             scene = ScatteringScene(epsilon=0.05, H=7.0, layer=layer, gamma=gamma,
                                     period=2.0 * math.pi, L=1.0, config=empty)
-            _, refl = reference_solve(scene, wave, dx, dtn_eta=config.dtn_eta)
+            _, refl = reference_solve(scene, wave, dx)
             errs.append(abs(refl.value - exact))
         factor = errs[0] / max(errs[1], 1e-300)
         ok = errs[0] <= 5e-3 and factor >= 3.0
@@ -411,8 +407,7 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
         layer = LayerSpec(h=5.0, delta=0.05, width=20.0)
         process = PointProcessParams(kind="matern2", rho=0.3)
         realization = sample_matern(process, layer, config.master_seed, stream=0)
-        base = dict(layer=layer, process=process, target_dx=0.2,
-                    dtn_eta=config.dtn_eta)
+        base = dict(layer=layer, process=process, target_dx=0.2)
         t_lo = solve_w1(CorrectorConfig(H=7.0, L_cell=14.0, **base), realization)
         t_hi = solve_w1(CorrectorConfig(H=9.0, L_cell=14.0, **base), realization)
         delta = abs(t_hi.trace_mean - t_lo.trace_mean - 2.0)
@@ -430,9 +425,9 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
 
     def dtn_spectral():
         width, nx = 20.0, 64  # m = 0, 1, 2 all propagating for this cell
-        lap = DtnSpec(kind="laplace_periodic", n_modes=8)
+        lap = DtnSpec(kind="laplace_periodic")
         k, k1 = 1.0, 0.3
-        helm = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=8, k=k, k1=k1)
+        helm = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
         worst = 0.0
         for m in (0, 1, 2):
             phi = quasi_mode(width, nx, m)
@@ -509,7 +504,7 @@ def run_reference(config: ExperimentConfig) -> tuple[Path, complex]:
     epsilon = config.epsilon_list[0]
     window, scene_of = _epsilon_window(config, epsilon)
     scene = scene_of(0)
-    fld, refl = reference_solve(scene, config.wave, window["dx"], dtn_eta=config.dtn_eta)
+    fld, refl = reference_solve(scene, config.wave, window["dx"])
     path = out / f"field_eps{epsilon:g}.csv"
     export_field_csv(fld, scene.grid(window["dx"]), path)
     _write_json(_provenance(config, {"epsilon": epsilon,

@@ -3,8 +3,9 @@
 The cell is [-width/2, width/2] x [0, top] with nx lateral nodes (periodic
 wrap, dx = width/nx) and ny vertical lines (dy fixed by the requested
 spacing, so every requested interface height lands exactly on a grid line
-after snapping). The top line carries a truncated modal map (periodic
-Laplace or quasi-periodic Helmholtz) applied through lateral FFTs.
+after snapping). The top line carries a modal Dirichlet-to-Neumann map
+(periodic Laplace or quasi-periodic Helmholtz) on every lateral mode,
+applied through lateral FFTs.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ DTN_KINDS = ("laplace_periodic", "helmholtz_quasiperiodic")
 
 @dataclass(frozen=True)
 class DtnSpec:
-    """Truncated modal boundary closure on the top line.
+    """Modal Dirichlet-to-Neumann closure on the top line, on every lateral mode.
 
     laplace_periodic: eigenvalues lambda_m = 2|m|pi/width on periodic modes
     (k1 must be 0).
@@ -160,56 +161,20 @@ class DtnSpec:
     """
 
     kind: str
-    n_modes: int
     k: float = 0.0
     k1: float = 0.0
-    eta: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in DTN_KINDS:
             raise InvalidDtnSpec(f"unknown DtN kind {self.kind!r}")
-        if self.n_modes < 0:
-            raise InvalidDtnSpec("n_modes must be >= 0")
         if self.kind == "helmholtz_quasiperiodic" and self.k <= 0:
             raise InvalidDtnSpec("helmholtz closure needs k > 0")
         if self.kind == "laplace_periodic" and self.k1 != 0.0:
             raise InvalidDtnSpec("the periodic Laplace closure has no quasi-momentum k1")
 
 
-def choose_n_modes(dtn_kind: str, k: float, k1: float, width: float, gap: float,
-                   eta: float) -> int:
-    """Minimal truncation order whose slowest kept-out mode decays below eta.
-
-    laplace: smallest N with exp(-2 N pi gap / width) < eta.
-    helmholtz: smallest N with exp(-sqrt((2 N pi/width + k1)^2 - k^2) gap) < eta.
-    eta >= 1 means no decay is required and returns 0.
-    """
-    if dtn_kind not in DTN_KINDS:
-        raise InvalidDtnSpec(f"unknown DtN kind {dtn_kind!r}")
-    if gap <= 0:
-        raise InvalidDtnSpec("gap must be positive")
-    if eta <= 0:
-        raise InvalidDtnSpec("eta must be positive")
-    if eta >= 1.0:
-        return 0
-    if dtn_kind == "laplace_periodic":
-        n = max(0, int(math.floor(width * math.log(1.0 / eta) / (2.0 * math.pi * gap))))
-        while math.exp(-2.0 * n * math.pi * gap / width) >= eta:
-            n += 1
-        return n
-    n = 0
-    while True:
-        zeta = 2.0 * n * math.pi / width + k1
-        rad = zeta * zeta - k * k
-        if rad > 0 and math.exp(-math.sqrt(rad) * gap) < eta:
-            return n
-        n += 1
-        if n > 10_000_000:
-            raise InvalidDtnSpec("truncation scan did not terminate")
-
-
 def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
-    """Per-mode multipliers Lambda_m in numpy FFT ordering, zero beyond N.
+    """Multipliers Lambda_m of all nx lateral modes, in numpy FFT ordering.
 
     These are the eigenvalues of the operator Lambda appearing in the
     assembled top rows: du/dy + Lambda u = 0 for the Laplace closure
@@ -219,21 +184,19 @@ def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
     """
     m = np.arange(nx)
     m[m > nx // 2] -= nx
-    lam = np.zeros(nx, dtype=complex)
-    keep = np.abs(m) <= spec.n_modes
     if spec.kind == "laplace_periodic":
-        lam[keep] = 2.0 * np.abs(m[keep]) * np.pi / width
-        return lam
+        return (2.0 * np.abs(m) * np.pi / width).astype(complex)
     zeta = 2.0 * np.pi * m / width + spec.k1
     rad = spec.k * spec.k - zeta * zeta
     prop = rad >= 0.0
-    lam[keep & prop] = -1j * np.sqrt(rad[keep & prop])
-    lam[keep & ~prop] = -np.sqrt(-rad[keep & ~prop])
+    lam = np.empty(nx, dtype=complex)
+    lam[prop] = -1j * np.sqrt(rad[prop])
+    lam[~prop] = -np.sqrt(-rad[~prop])
     return lam
 
 
 def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
-    """Apply the truncated modal map to a top-line trace.
+    """Apply the modal map to a top-line trace.
 
     For the quasi-periodic closure the trace is phase-shifted by
     exp(-i k1 x) to a periodic signal, filtered per mode, and shifted back.

@@ -2,9 +2,9 @@
 
 The reference problem is the plane-wave-forced Helmholtz solve on the
 period cell [-T/2, T/2] x (0, L) minus the epsilon-scaled particles, with
-the absorbing Robin plane at the bottom and the truncated quasi-periodic
-modal closure at the top. Conventions follow the incident wave
-u_inc = exp(i(k1 x1 + k2 x2)): the specular reflected mode is the
+the absorbing Robin plane at the bottom and the quasi-periodic modal
+closure, on every lateral mode, at the top. Conventions follow the incident
+wave u_inc = exp(i(k1 x1 + k2 x2)): the specular reflected mode is the
 coefficient of exp(i(k1 x1 - k2 x2)).
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from .assemble import Sources, assemble
 from .errors import PassivityViolation, ResolutionTooCoarse, ShapeMismatch
 from .geometry import LayerSpec, ParticleConfiguration
-from .grid import DtnSpec, Grid, build_grid, choose_n_modes, classify_nodes
+from .grid import DtnSpec, Grid, build_grid, classify_nodes
 from .solver import solve
 
 PASSIVITY_SLACK = 1e-6
@@ -117,8 +117,8 @@ def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
     return ReflectionCoefficient(complex(value), "reference")
 
 
-def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
-                    dtn_eta: float = 1e-6) -> tuple[np.ndarray, ReflectionCoefficient]:
+def reference_solve(scene: ScatteringScene, wave: PlaneWave,
+                    target_dx: float) -> tuple[np.ndarray, ReflectionCoefficient]:
     """Solve the reference problem and extract the reflection coefficient.
 
     Robin at the bottom with coefficient i k gamma, Dirichlet on the scaled
@@ -134,11 +134,7 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave, target_dx: float,
         )
     grid = scene.grid(target_dx)
     tags = classify_nodes(grid, scene.config, scale=scene.epsilon)
-    gap = grid.top - scene.epsilon * scene.H
-    n_modes = choose_n_modes("helmholtz_quasiperiodic", wave.k, wave.k1,
-                             scene.period, gap, dtn_eta)
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=n_modes, k=wave.k,
-                  k1=wave.k1, eta=dtn_eta)
+    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=wave.k, k1=wave.k1)
     x = grid.x_nodes()
     inc_trace = np.exp(1j * (wave.k1 * x + wave.k2 * grid.top))
     forcing = -2j * wave.k2 * inc_trace

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmlayer import ConfigError, DegenerateFit
+from helmlayer import ConfigError, DegenerateFit, experiments
 from helmlayer.cli import main
-from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate,
+from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, obtain_c1,
                                    run_c1_study, run_validate)
 
 
@@ -116,6 +116,28 @@ def test_c1_study_outputs_are_thread_invariant(tmp_path):
             == (tmp_path / "c" / "out" / "c1_history.csv").read_bytes())
 
 
+def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
+    config = _tiny_c1_config(tmp_path, geometry={"h": 5.0, "delta": 0.05, "width": 5.0})
+    estimates = []
+    estimate_c1 = experiments.estimate_c1
+
+    def counting_estimate_c1(*args, **kwargs):
+        estimates.append(args)
+        return estimate_c1(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_c1", counting_estimate_c1)
+    cache = tmp_path / "out" / "c1_cache.json"
+    mean, record = obtain_c1(config)
+    assert len(estimates) == 1 and json.loads(cache.read_text()) == record
+    assert obtain_c1(config) == (mean, record)
+    assert len(estimates) == 1
+    # a cache written before the closure kept every mode carries dtn_eta in its key
+    stale = dict(record, key=dict(record["key"], dtn_eta=1e-6), mean=mean + 1.0)
+    cache.write_text(json.dumps(stale))
+    assert obtain_c1(config) == (mean, record)
+    assert len(estimates) == 2 and json.loads(cache.read_text()) == record
+
+
 def test_validate_suite_passes():
     config = ExperimentConfig.from_dict({"scenario": "validate"})
     checks = run_validate(config)
@@ -152,7 +174,7 @@ def test_cli_sample_and_exit_codes(tmp_path, capsys):
     assert (out / "provenance.json").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"bogus_key": 1}))
     assert main(["--config", str(bad), "sample"]) == 3
@@ -161,11 +183,16 @@ def test_cli_config_error_exit_code(tmp_path):
     for user in ({"n_samples": "x"}, {"grid": {"target_dx": "a"}}, {"n_samples": 2.7},
                  {"master_seed": 3.9}, {"n_samples": True}, {"master_seed": False},
                  {"n_samples": float("inf")}, {"grid": {"target_dx": float("nan")}},
-                 {"grid": {"target_dx": float("inf")}}, {"grid": {"dtn_eta": float("nan")}},
+                 {"grid": {"target_dx": float("inf")}},
                  {"grid": {"nodes_per_diameter": float("inf")}}, {"grid": {"dtn_gap": float("nan")}},
                  {"epsilon_list": [0.2, float("nan")]}, {"epsilon_list": [float("inf"), 0.1]}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
+    # the modal closure keeps every mode, so its former truncation knob is unknown
+    bad.write_text(json.dumps({"grid": {"dtn_eta": 1e-6}}))
+    capsys.readouterr()
+    assert main(["--config", str(bad), "sample"]) == 3
+    assert "grid.dtn_eta" in capsys.readouterr().err
     # one sample is a valid config (a sweep may run one), but no c1 study
     bad.write_text(json.dumps({"n_samples": 1, "output_dir": str(tmp_path / "out")}))
     assert main(["--config", str(bad), "c1"]) == 3

@@ -5,7 +5,7 @@ import pytest
 
 from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec, NodeClass,
                        ParticleConfiguration, ParticleOutOfDomain, PointProcessParams,
-                       build_grid, choose_n_modes, classify_nodes, dtn_apply, quasi_mode,
+                       build_grid, classify_nodes, dtn_apply, quasi_mode,
                        sample_matern)
 from helmlayer.geometry import lateral_delta
 
@@ -116,20 +116,10 @@ def test_classify_rejects_disk_outside_vertical_extent():
         classify_nodes(grid, config, scale=1.0)
 
 
-def test_choose_n_modes_laplace_closed_form():
-    assert choose_n_modes("laplace_periodic", 0.0, 0.0, 10.0, 2.0, 1e-6) == 11
-    assert choose_n_modes("laplace_periodic", 0.0, 0.0, 10.0, 2.0, 1.0) == 0
-
-
-def test_choose_n_modes_helmholtz_scan():
-    k1 = math.sin(math.pi / 4.0)
-    assert choose_n_modes("helmholtz_quasiperiodic", 1.0, k1, 100.0, 1.0, 1e-6) == 210
-
-
 def test_dtn_spectral_action_laplace():
     width, nx = 10.0, 64
-    spec = DtnSpec(kind="laplace_periodic", n_modes=8)
-    for m in (0, 1, 2):
+    spec = DtnSpec(kind="laplace_periodic")
+    for m in (0, 1, 2, nx // 2 - 1):
         phi = quasi_mode(width, nx, m)
         lam = 2.0 * abs(m) * math.pi / width
         err = np.abs(dtn_apply(spec, width, phi) - lam * phi).max()
@@ -137,21 +127,23 @@ def test_dtn_spectral_action_laplace():
 
 
 def test_dtn_spectral_action_helmholtz():
-    # width chosen so m = 0, 1, 2 are all propagating
+    # width chosen so m = 0, 1, 2 are all propagating; the highest mode
+    # nx // 2 - 1 is evanescent
     width, nx, k, k1 = 20.0, 64, 1.0, 0.3
-    spec = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=8, k=k, k1=k1)
-    for m in (0, 1, 2):
+    spec = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
+    for m in (0, 1, 2, nx // 2 - 1):
         phi = quasi_mode(width, nx, m, k1=k1)
         zeta = 2.0 * math.pi * m / width + k1
-        beta = math.sqrt(k * k - zeta * zeta)
-        err = np.abs(dtn_apply(spec, width, phi) - (-1j * beta) * phi).max()
+        rad = k * k - zeta * zeta
+        lam = -1j * math.sqrt(rad) if rad >= 0 else -math.sqrt(-rad)
+        err = np.abs(dtn_apply(spec, width, phi) - lam * phi).max()
         assert err < 1e-10
 
 
 def test_dtn_evanescent_modes_decay():
     # beyond the propagating band the multiplier must be negative real
     width, nx, k, k1 = 20.0, 64, 1.0, 0.3
-    spec = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=8, k=k, k1=k1)
+    spec = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
     m = 6
     zeta = 2.0 * math.pi * m / width + k1
     assert zeta > k
@@ -162,16 +154,9 @@ def test_dtn_evanescent_modes_decay():
     assert abs(sigma.imag) < 1e-12
 
 
-def test_dtn_truncation_zeroes_high_modes():
-    width, nx = 10.0, 64
-    spec = DtnSpec(kind="laplace_periodic", n_modes=3)
-    phi = quasi_mode(width, nx, 5)
-    assert np.abs(dtn_apply(spec, width, phi)).max() < 1e-12
-
-
 def test_laplace_closure_rejects_quasi_momentum():
     # the periodic Laplace map has no phase, so a k1 there would contradict
     # the seam phase exp(i k1 width) that assembly reads from the same spec
     with pytest.raises(InvalidDtnSpec, match="quasi-momentum"):
-        DtnSpec(kind="laplace_periodic", n_modes=4, k1=0.3)
-    DtnSpec(kind="helmholtz_quasiperiodic", n_modes=4, k=1.0, k1=0.3)
+        DtnSpec(kind="laplace_periodic", k1=0.3)
+    DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3)

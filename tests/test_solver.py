@@ -23,23 +23,25 @@ def _identity_system():
     n = grid.n_nodes
     rng = np.random.default_rng(0)
     rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    dtn = DtnSpec(kind="laplace_periodic", n_modes=0)
     return DiscreteSystem(local=sp.identity(n, dtype=complex, format="csr"),
-                          rhs=rhs, grid=grid, tags=tags, dtn=dtn)
+                          rhs=rhs, grid=grid, tags=tags, dtn=DtnSpec(kind="laplace_periodic"))
 
 
 def _w1_system(config, width=20.0):
     grid = build_grid(width, 12.0, 0.2, interface_heights=(7.0,))
     tags = classify_nodes(grid, config)
-    dtn = DtnSpec(kind="laplace_periodic", n_modes=8)
-    return assemble(grid, tags, "laplace", "neumann", dtn,
+    return assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"),
                     sources=Sources(flux_jump_height=7.0))
 
 
 def test_identity_rows_solution_equals_rhs():
+    # identity rows below the top; the top row is (I + Lambda) u = rhs there
     system = _identity_system()
     x, report = solve(system)
-    assert np.allclose(x, system.rhs, atol=1e-14)
+    top = system.top
+    lam = dtn_multipliers(system.dtn, system.grid.width, system.grid.nx)
+    assert np.allclose(x[:top.start], system.rhs[:top.start], atol=1e-14)
+    assert np.allclose(x[top], np.fft.ifft(np.fft.fft(system.rhs[top]) / (1.0 + lam)), atol=1e-14)
     assert report.residual <= 1e-12
 
 
@@ -104,11 +106,9 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     cases = [  # nx 20 unless noted
-        _nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", n_modes=10,
-                                          k=1.0, k1=0.3)),  # all 20 modes
-        _nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=5)),  # 10 modes
-        _nx20_system("laplace", DtnSpec(kind="laplace_periodic", n_modes=4)),  # 8 modes
-        _w1_system(small_realization),  # 16 modes, nx 100
+        _nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3)),
+        _nx20_system("laplace", DtnSpec(kind="laplace_periodic")),
+        _w1_system(small_realization),  # nx 100
     ]
     band = 2 * solver.CUT_HALF_WIDTH + 1
     for system in cases:
@@ -132,7 +132,7 @@ def test_wide_cut_row_builds_no_dense_block():
     # at about 3.5 MB, under half of one float64 nx x nx array
     grid = build_grid(400.0, 2.0, 0.2)
     system = assemble(grid, classify_nodes(grid, None), "helmholtz", "robin",
-                      DtnSpec(kind="helmholtz_quasiperiodic", n_modes=1000, k=1.0, k1=0.3),
+                      DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3),
                       k=1.0, gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
     nx = grid.nx
     assert nx >= solver.INTERFACE_NX
@@ -181,7 +181,7 @@ def _seed1_w1_system():
                           process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
     grid = cfg.cell_grid()
     tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, 1, stream=0))
-    return assemble(grid, tags, "laplace", "neumann", corrector._laplace_dtn(cfg, grid),
+    return assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"),
                     sources=Sources(flux_jump_height=grid.snaps[0].snapped))
 
 
@@ -283,11 +283,11 @@ def _one_particle_system(problem_kind):
     tags = classify_nodes(grid, config)
     rng = np.random.default_rng(2)
     if problem_kind == "laplace":
-        dtn = DtnSpec(kind="laplace_periodic", n_modes=6)
+        dtn = DtnSpec(kind="laplace_periodic")
         return assemble(grid, tags, "laplace", "neumann", dtn,
                         sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx))))
     k = 1.0
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", n_modes=6, k=k, k1=k * math.sin(math.pi / 4.0))
+    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k * math.sin(math.pi / 4.0))
     return assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j,
                     sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx)),
                                     top_forcing=np.ones(grid.nx)))
