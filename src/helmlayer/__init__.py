@@ -22,7 +22,7 @@ from .grid import (DtnSpec, Grid, NodeClass, build_grid, classify_nodes, dtn_app
 from .assemble import DiscreteSystem, Sources, assemble
 from .solver import SolveReport, solve
 from .corrector import (C1Estimate, CorrectorConfig, CorrectorSolution, decay_profile,
-                        estimate_c1, solve_w1, solve_w2, v1_bottom_trace, v1_field)
+                        estimate_c1, solve_w1)
 from .scattering import (PlaneWave, ReflectionCoefficient, ScatteringScene,
                          effective_reflection, extract_reflection,
                          farfield_reflection, reference_solve,

@@ -24,9 +24,9 @@ A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
 quasi-momentum) and real source data (the W1 corrector) is real: no i k
 gamma Robin term, no seam phase, and real multipliers even in the mode
 index m. It is assembled in float64, and so is its materialized matrix (its
-bordered matrix is complex128). Every other system, W2 with its complex
-Neumann data included, is complex128. Flattened node index: idx(i, j) =
-j*nx + i, so the top line is the final contiguous block of unknowns.
+bordered matrix is complex128). Every other system is complex128. Flattened
+node index: idx(i, j) = j*nx + i, so the top line is the final contiguous
+block of unknowns.
 
 scipy.sparse is imported inside the functions that build a sparse matrix,
 not at module level: importing the package, and every geometry, grid and
@@ -56,15 +56,11 @@ BOTTOM_KINDS = ("neumann", "robin")
 class Sources:
     """Right-hand-side data accepted by `assemble`.
 
-    volume : nodal volume term f (ny, nx), applied on interior balance rows.
-    bottom_neumann : psi with -du/dy = psi on the bottom line.
     flux_jump_height / flux_jump_value : prescribed jump [-du/dy] across a
         snapped interior grid line; enters the interface row rhs as value/dy.
     top_forcing : data g added to the top (modal closure) rows.
     """
 
-    volume: np.ndarray | None = None
-    bottom_neumann: np.ndarray | None = None
     flux_jump_height: float | None = None
     flux_jump_value: complex = 1.0
     top_forcing: np.ndarray | None = None
@@ -201,7 +197,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     if tags.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("tag array does not match the grid")
     sources = sources or Sources()
-    data = [sources.volume, sources.bottom_neumann, sources.top_forcing]
+    data = [sources.top_forcing]
     if sources.flux_jump_height is not None:
         data.append(sources.flux_jump_value)
     data_type = np.result_type(np.float64, *(np.asarray(d) for d in data if d is not None))
@@ -247,11 +243,6 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     put(first + 1 + 2 * lo + hi, ridx - 1 + nx * lo, np.where(lo, -wrap_minus / dx2, -1.0 / dx2))
     put(first + 3 - lo - 2 * hi, ridx + 1 - nx * hi, np.where(hi, -wrap_plus / dx2, -1.0 / dx2))
     put(first + 4, ridx + nx, -1.0 / dy2)
-    if sources.volume is not None:
-        vol = np.asarray(sources.volume, dtype=dtype)
-        if vol.shape != (ny, nx):
-            raise ShapeMismatch("volume source does not match the grid")
-        rhs[ridx] = vol.ravel()[ridx]
     if sources.flux_jump_height is not None:
         j_jump = grid.j_of_height(sources.flux_jump_height)
         if not 0 < j_jump < ny - 1:
@@ -265,11 +256,6 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     put(first, b_free, 1.5 / grid.dy + (1j * k * gamma if bottom == "robin" else 0.0))
     put(first + 1, b_free + nx, -2.0 / grid.dy)
     put(first + 2, b_free + 2 * nx, 0.5 / grid.dy)
-    if sources.bottom_neumann is not None:
-        psi = np.asarray(sources.bottom_neumann, dtype=dtype)
-        if len(psi) != nx:
-            raise ShapeMismatch("bottom Neumann data does not match the grid")
-        rhs[b_free] = psi[b_free]
 
     # top rows: s*du/dy with s = +1 (laplace closure) or -1 (helmholtz closure);
     # the modal term Lambda u is added by matvec and by the factored forms

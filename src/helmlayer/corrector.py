@@ -2,8 +2,8 @@
 
 W1 solves Laplace around the normalized particles with a unit flux jump
 across the interface line above the layer; its lateral trace average at the
-cell top is the per-realization sample of the effective coefficient c1.
-W2 is the complex companion problem forced through the bottom Neumann data.
+cell top, moved to the requested interface height, is the per-realization
+sample of the effective coefficient c1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import Sources, assemble
-from .errors import NoConvergence, NumericalFailure, ShapeMismatch, SingularSystem
+from .errors import NoConvergence, NumericalFailure, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
 from .grid import DtnSpec, Grid, NodeClass, build_grid, classify_nodes
 from .solver import SolveReport, solve
@@ -40,8 +40,6 @@ class CorrectorConfig:
     H: float | None = None
     L_cell: float | None = None
     target_dx: float = 0.2
-    gamma: complex = 1.0 + 1.0j
-    k: float = 1.0
 
     def __post_init__(self) -> None:
         if self.H is None:
@@ -60,18 +58,22 @@ class CorrectorConfig:
 
 @dataclass
 class CorrectorSolution:
-    """Solved corrector field with trace statistics and flux bookkeeping."""
+    """Solved W1 field with trace statistics and flux bookkeeping."""
 
     field: np.ndarray
-    trace_L: np.ndarray
-    trace_mean: complex
+    trace_mean: float
     flux_report: dict
-    kind: str
     grid: Grid
     tags: np.ndarray
-    interface_height: float
     j_interface: int
     solve_report: SolveReport
+
+    @property
+    def c1(self) -> float:
+        """The c1 sample: trace_mean moved from the snapped interface line to the
+        requested height by the exact shift identity c1(H + s) = c1(H) + s."""
+        snap = self.grid.snaps[0]
+        return self.trace_mean + (snap.requested - snap.snapped)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class C1Estimate:
     cell_width: float
     ci95: tuple[float, float]
     history: tuple[tuple[int, float, float, float | None], ...] = ()
-    H_used: float = 0.0
     n_failures: int = 0
 
     def __post_init__(self) -> None:
@@ -95,22 +96,21 @@ class C1Estimate:
             raise ValueError("ci95 must contain the mean")
 
 
-def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
-                  injected: float) -> dict:
+def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid) -> dict:
     """Exact discrete telescoping of the interior balance rows.
 
-    injected = particle + bottom + top up to the solver residual; the bottom
-    and top terms are the telescoped line fluxes (O(dy^2) small for the
-    homogeneous-Neumann / modal closures, not asserted to vanish).
+    injected (the unit jump over the cell width) = particle + bottom + top up
+    to the solver residual; the bottom and top terms are the telescoped line
+    fluxes (O(dy^2) small for the homogeneous-Neumann / modal closures, not
+    asserted to vanish).
     """
-    ny, nx = field.shape
     dy_dx = grid.dy / grid.dx
     dx_dy = grid.dx / grid.dy
     dirich = tags == NodeClass.PARTICLE_DIRICHLET
-    free_int = ~dirich.copy()
+    free_int = ~dirich
     free_int[0, :] = False
     free_int[-1, :] = False
-    particle = 0.0 + 0.0j
+    particle = 0.0
     left = np.roll(dirich, 1, axis=1)
     right = np.roll(dirich, -1, axis=1)
     particle += dy_dx * field[free_int & left].sum()
@@ -125,34 +125,16 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid,
     bottom = dx_dy * (field[1, row1_free] - field[0, row1_free]).sum()
     rowt_free = ~dirich[-2, :]
     top = dx_dy * (field[-2, rowt_free] - field[-1, rowt_free]).sum()
-    residual = injected - (particle + bottom + top)
-    scale = abs(injected) if injected else 1.0
+    injected = grid.width
+    residual = float(injected - (particle + bottom + top))
     return {
         "injected": injected,
-        "particle": complex(particle),
-        "bottom": complex(bottom),
-        "top": complex(top),
-        "residual": complex(residual),
-        "rel_imbalance": abs(residual) / scale,
+        "particle": float(particle),
+        "bottom": float(bottom),
+        "top": float(top),
+        "residual": residual,
+        "rel_imbalance": abs(residual) / injected,
     }
-
-
-def _solve_cell(grid: Grid, config: ParticleConfiguration, sources: Sources,
-                injected: float, kind: str) -> CorrectorSolution:
-    """Laplace on the cell minus particles: homogeneous Dirichlet on particles,
-    Neumann bottom, periodic-Laplace modal closure at the top, `sources` as data."""
-    tags = classify_nodes(grid, config, scale=1.0)
-    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann",
-                      dtn=DtnSpec(kind="laplace_periodic"), sources=sources)
-    x, report = solve(system)
-    fld = x.reshape(grid.ny, grid.nx)
-    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
-    trace = fld[-1].copy()
-    snap = grid.snaps[0]
-    return CorrectorSolution(field=fld, trace_L=trace, trace_mean=trace.mean().item(),
-                             flux_report=_flux_balance(fld, tags, grid, injected), kind=kind,
-                             grid=grid, tags=tags, interface_height=snap.snapped,
-                             j_interface=snap.j_index, solve_report=report)
 
 
 def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSolution:
@@ -165,37 +147,17 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     SingularSystem (the injected flux has no outlet).
     """
     grid = cfg.cell_grid()
-    jump = Sources(flux_jump_height=grid.snaps[0].snapped, flux_jump_value=1.0)
-    return _solve_cell(grid, config, jump, injected=grid.width, kind="W1")
-
-
-def v1_bottom_trace(w1: CorrectorSolution) -> np.ndarray:
-    """V1 restricted to the bottom line (V1 = W1 below the interface)."""
-    return w1.field[0].copy()
-
-
-def solve_w2(cfg: CorrectorConfig, config: ParticleConfiguration,
-             v1_bottom: np.ndarray) -> CorrectorSolution:
-    """Solve the complex companion corrector forced through the bottom line.
-
-    Inhomogeneous Neumann data -i k gamma V1 at the bottom, no jump, same
-    Dirichlet particles and top closure as W1; the complex data makes the
-    system complex128. The trace average is the per-realization sample of c2.
-    """
-    grid = cfg.cell_grid()
-    if len(v1_bottom) != grid.nx:
-        raise ShapeMismatch("V1 bottom trace does not match the corrector grid")
-    psi = -1j * cfg.k * cfg.gamma * np.asarray(v1_bottom, dtype=complex)
-    return _solve_cell(grid, config, Sources(bottom_neumann=psi), injected=0.0, kind="W2")
-
-
-def v1_field(w1: CorrectorSolution, c1: float) -> np.ndarray:
-    """Nodal V1 = W1 - c1 strictly above the interface line, W1 elsewhere."""
-    if not math.isfinite(c1):
-        raise ValueError("c1 must be finite")
-    out = w1.field.copy()
-    out[w1.j_interface + 1:, :] -= c1
-    return out
+    snap = grid.snaps[0]
+    tags = classify_nodes(grid, config, scale=1.0)
+    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann",
+                      dtn=DtnSpec(kind="laplace_periodic"),
+                      sources=Sources(flux_jump_height=snap.snapped, flux_jump_value=1.0))
+    x, report = solve(system)
+    fld = x.reshape(grid.ny, grid.nx)
+    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
+    return CorrectorSolution(field=fld, trace_mean=fld[-1].mean().item(),
+                             flux_report=_flux_balance(fld, tags, grid), grid=grid,
+                             tags=tags, j_interface=snap.j_index, solve_report=report)
 
 
 def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
@@ -220,7 +182,7 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     def one(j: int) -> float | None:
         config = sample_matern(cfg.process, cfg.layer, master_seed, stream=j)
         try:
-            return solve_w1(cfg, config).trace_mean
+            return solve_w1(cfg, config).c1
         except (SingularSystem, NoConvergence):
             return None
 
@@ -233,13 +195,6 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     arr = np.array(values)
     mean = float(arr.mean())
     std_err = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    h_used = float(cfg.H)
-    if mean <= 0.0:
-        # exact shift identity: c1(H + s) = c1(H) + s; raise H to make c1 positive
-        shift = float(math.ceil(1.0 - mean))
-        mean += shift
-        arr = arr + shift
-        h_used += shift
     history = []
     run_sum = 0.0
     run_sq = 0.0
@@ -255,7 +210,7 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     ci = (mean - 1.96 * std_err, mean + 1.96 * std_err)
     return C1Estimate(mean=mean, std_err=std_err, n_samples=len(arr),
                       cell_width=cfg.layer.width, ci95=ci, history=tuple(history),
-                      H_used=h_used, n_failures=n_fail)
+                      n_failures=n_fail)
 
 
 def decay_profile(w1: CorrectorSolution, c1: float) -> list[tuple[float, float, float, float]]:
@@ -265,7 +220,7 @@ def decay_profile(w1: CorrectorSolution, c1: float) -> list[tuple[float, float, 
     |grad W1|^2) for every grid line strictly above the interface; the y
     derivative is one-sided on the top line.
     """
-    fld = w1.field.real
+    fld = w1.field
     grid = w1.grid
     rows = []
     for j in range(w1.j_interface + 1, grid.ny):

@@ -144,8 +144,7 @@ class ExperimentConfig:
         across the seam."""
         layer = dataclasses.replace(self.layer, periodic=True,
                                     width=self.layer.width if width is None else width)
-        return CorrectorConfig(layer=layer, process=self.process,
-                               target_dx=self.target_dx, gamma=self.gamma, k=self.wave.k)
+        return CorrectorConfig(layer=layer, process=self.process, target_dx=self.target_dx)
 
 
 def fit_rate(pairs) -> tuple[float, float, float]:
@@ -211,6 +210,8 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
+    """Everything the cached c1 depends on. The snapped interface height keys out
+    a cache written before c1 samples were moved to the requested height."""
     return {
         "rho": config.process.rho,
         "kind": config.process.kind,
@@ -220,6 +221,7 @@ def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
         "target_dx": config.target_dx,
         "master_seed": config.master_seed,
         "n_samples": n_c1,
+        "H_snapped": config.corrector_config().cell_grid().snaps[0].snapped,
     }
 
 
@@ -239,7 +241,7 @@ def obtain_c1(config: ExperimentConfig, threads: int = 1,
             return float(cached["mean"]), cached
     est = estimate_c1(config.corrector_config(), n_c1, config.master_seed, threads=threads)
     record = {"key": key, "mean": est.mean, "std_err": est.std_err,
-              "ci95": list(est.ci95), "H_used": est.H_used}
+              "ci95": list(est.ci95)}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(record, cache_path)
     return est.mean, record
@@ -271,7 +273,7 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
             cfg_w = config.corrector_config(width=w * factor)
             realization = sample_matern(cfg_w.process, cfg_w.layer,
                                         config.master_seed, stream=0)
-            value = solve_w1(cfg_w, realization).trace_mean
+            value = solve_w1(cfg_w, realization).c1
             fh.write(f"{w * factor!r},1,{value!r},\n")
     _write_json(_provenance(config, {"c1": {"mean": est.mean, "std_err": est.std_err,
                                              "ci95": list(est.ci95)}}),

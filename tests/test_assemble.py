@@ -92,8 +92,8 @@ def test_dirichlet_rows_are_identity():
         assert system.rhs[r] == 0.0
 
 
-def _w1_matrix_free_case():
-    return _laplace_neumann_system(jump=True)[1]
+def _w1_matrix_free_case(width=10.0):
+    return _laplace_neumann_system(width, jump=True)[1]
 
 
 def _quasiperiodic_robin_case():
@@ -111,19 +111,11 @@ FACTORED_FORM_CASES = pytest.mark.parametrize(
     ids=["w1", "quasiperiodic_robin"])
 
 
-def _w1_type_system(width):
-    grid = build_grid(width, 8.0, 0.2, interface_heights=(4.0,))
-    tags = classify_nodes(grid, None)
-    return assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"),
-                    sources=Sources(flux_jump_height=4.0))
-
-
 @pytest.mark.parametrize("make_system", [
-    _w1_matrix_free_case,
+    _w1_matrix_free_case,  # nx 50: the Nyquist mode is in the map
     _quasiperiodic_robin_case,
-    functools.partial(_w1_type_system, 10.0),
-    functools.partial(_w1_type_system, 9.8),
-], ids=["w1", "quasiperiodic_robin", "w1_nx50_nyquist_mode", "w1_nx49"])
+    functools.partial(_w1_matrix_free_case, 9.8),
+], ids=["w1", "quasiperiodic_robin", "w1_nx49"])
 def test_materialized_matches_matrix_free(make_system):
     system = make_system()
     full = system.materialize()
@@ -208,12 +200,12 @@ def test_operator_dtype_follows_the_problem():
     lap = DtnSpec(kind="laplace_periodic")
     w1 = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(flux_jump_height=4.0))
     assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
-    psi = np.full(grid.nx, 1.0 - 1.0j)
-    w2 = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(bottom_neumann=psi))
-    assert np.array_equal(w2.rhs[: grid.nx], psi)
+    g = np.full(grid.nx, 1.0 - 1.0j)
+    forced = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(top_forcing=g))
+    assert np.array_equal(forced.rhs[forced.top], g)
     k, k1 = 1.0, math.sin(math.pi / 4.0)
     complex_systems = [
-        w2,  # W2: W1's operator, but complex data
+        forced,  # W1's operator, but complex data
         assemble(grid, tags, "helmholtz", "robin",
                  DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1),
                  k=k, gamma=1 + 1j),
@@ -251,8 +243,6 @@ def _coo_reference(grid, tags, problem_kind, bottom, dtn, dtype, k=0.0, gamma=0.
     add(r, r - i + (i + 1) % nx, np.where(i == nx - 1, -wrap[1] / dx2, -1.0 / dx2))
     add(r, r - nx, -1.0 / dy2)
     add(r, r + nx, -1.0 / dy2)
-    if sources.volume is not None:
-        rhs[r] = np.asarray(sources.volume, dtype=dtype).ravel()[r]
     if sources.flux_jump_height is not None:
         jump = grid.j_of_height(sources.flux_jump_height) * nx + np.arange(nx)
         rhs[jump[~dirichlet[jump]]] += sources.flux_jump_value / dy
@@ -260,8 +250,6 @@ def _coo_reference(grid, tags, problem_kind, bottom, dtn, dtype, k=0.0, gamma=0.
     add(b, b, 1.5 / dy + (1j * k * gamma if bottom == "robin" else 0.0))
     add(b, b + nx, -2.0 / dy)
     add(b, b + 2 * nx, 0.5 / dy)
-    if sources.bottom_neumann is not None:
-        rhs[b] = np.asarray(sources.bottom_neumann, dtype=dtype)[b]
     s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
     t = np.arange(n - nx, n)
     for shift, v in ((0, 1.5), (nx, -2.0), (2 * nx, 0.5)):
@@ -282,12 +270,11 @@ def _oracle_case(name):
     grid = build_grid(10.0, 8.0, 0.2, interface_heights=(2.0,))
     tags = classify_nodes(grid, config)
     rng = np.random.default_rng(3)
-    nx, ny = grid.nx, grid.ny
+    nx = grid.nx
     lap = DtnSpec(kind="laplace_periodic")
     k, k1 = 1.0, math.sin(0.7)
     helm = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
-    complex_data = Sources(volume=rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx)),
-                           bottom_neumann=rng.normal(size=nx) - 2j,
+    complex_data = Sources(flux_jump_height=2.0, flux_jump_value=0.5 - 2j,
                            top_forcing=np.exp(1j * k1 * grid.x_nodes()))
     if name.startswith("hand_tags"):
         # Dirichlet on the bottom and top rows, seam columns included
@@ -297,7 +284,6 @@ def _oracle_case(name):
     return grid, tags, {
         "w1_flux_jump": ("laplace", "neumann", lap, {"sources": Sources(flux_jump_height=2.0)}),
         "laplace_real_data": ("laplace", "neumann", lap, {"sources": Sources(
-            volume=rng.normal(size=(ny, nx)), bottom_neumann=rng.normal(size=nx),
             top_forcing=rng.normal(size=nx), flux_jump_height=2.0, flux_jump_value=0.5)}),
         "helmholtz_robin_seam": ("helmholtz", "robin", helm,
                                  {"k": k, "gamma": 1 + 1j, "sources": complex_data}),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmlayer import ConfigError, DegenerateFit, experiments
+from helmlayer import ConfigError, DegenerateFit, experiments, sample_matern, solve_w1
 from helmlayer.cli import main
 from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, obtain_c1,
                                    run_c1_study, run_validate)
@@ -116,8 +116,23 @@ def test_c1_study_outputs_are_thread_invariant(tmp_path):
             == (tmp_path / "c" / "out" / "c1_history.csv").read_bytes())
 
 
+def test_c1_study_moves_every_sample_to_the_requested_interface(tmp_path):
+    # h = 4.5: H = 6.5 snaps to the grid line 6.4, so a raw trace mean is 0.1 low
+    config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 12.0})
+    est = run_c1_study(config)
+    first = config.corrector_config()
+    w1 = solve_w1(first, sample_matern(first.process, first.layer, 77, stream=0))
+    assert w1.c1 == pytest.approx(w1.trace_mean + 0.1, abs=1e-12)
+    assert est.history[0][1] == w1.c1
+    widest = config.corrector_config(width=96.0)
+    w1 = solve_w1(widest, sample_matern(widest.process, widest.layer, 77, stream=0))
+    last = (tmp_path / "out" / "c1_width.csv").read_text().splitlines()[-1]
+    assert last == f"96.0,1,{w1.c1!r},"
+
+
 def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
-    config = _tiny_c1_config(tmp_path, geometry={"h": 5.0, "delta": 0.05, "width": 5.0})
+    # h = 4.5: H = 6.5 snaps to the grid line 6.4
+    config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 5.0})
     estimates = []
     estimate_c1 = experiments.estimate_c1
 
@@ -136,6 +151,13 @@ def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
     cache.write_text(json.dumps(stale))
     assert obtain_c1(config) == (mean, record)
     assert len(estimates) == 2 and json.loads(cache.read_text()) == record
+    # one written before c1 samples were moved from the snapped interface line to
+    # the requested H holds a mean 0.1 low here, under a key without the snapped height
+    assert record["key"]["H_snapped"] == pytest.approx(6.4)
+    old_key = {k: v for k, v in record["key"].items() if k != "H_snapped"}
+    cache.write_text(json.dumps(dict(record, key=old_key, mean=mean - 0.1)))
+    assert obtain_c1(config) == (mean, record)
+    assert len(estimates) == 3 and json.loads(cache.read_text()) == record
 
 
 def test_validate_suite_passes():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -281,16 +282,14 @@ def _one_particle_system(problem_kind):
     config = ParticleConfiguration(np.array([[0.3, 1.5]]), layer, seed=0)
     grid = build_grid(4.0, 4.0, 0.2)
     tags = classify_nodes(grid, config)
-    rng = np.random.default_rng(2)
     if problem_kind == "laplace":
-        dtn = DtnSpec(kind="laplace_periodic")
-        return assemble(grid, tags, "laplace", "neumann", dtn,
-                        sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx))))
-    k = 1.0
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k * math.sin(math.pi / 4.0))
-    return assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j,
-                    sources=Sources(volume=rng.normal(size=(grid.ny, grid.nx)),
-                                    top_forcing=np.ones(grid.nx)))
+        system = assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"))
+    else:
+        k = 1.0
+        dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k * math.sin(math.pi / 4.0))
+        system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j)
+    rhs = np.random.default_rng(2).normal(size=system.n).astype(system.rhs.dtype)
+    return dataclasses.replace(system, rhs=rhs)
 
 
 @pytest.mark.parametrize("problem_kind", ["laplace", "helmholtz"], ids=["real", "phased"])
