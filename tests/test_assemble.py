@@ -92,8 +92,8 @@ def test_dirichlet_rows_are_identity():
         assert system.rhs[r] == 0.0
 
 
-def _w1_matrix_free_case(width=10.0):
-    return _laplace_neumann_system(width, jump=True)[1]
+def _w1_matrix_free_case(width=10.0, top=8.0):
+    return _laplace_neumann_system(width, top, jump=True)[1]
 
 
 def _quasiperiodic_robin_case():
@@ -112,10 +112,11 @@ FACTORED_FORM_CASES = pytest.mark.parametrize(
 
 
 @pytest.mark.parametrize("make_system", [
-    _w1_matrix_free_case,  # nx 50: the Nyquist mode is in the map
+    _w1_matrix_free_case,
     _quasiperiodic_robin_case,
+    functools.partial(_w1_matrix_free_case, 10.0, 6.0),  # nx 50: the Nyquist mode is in the map
     functools.partial(_w1_matrix_free_case, 9.8),
-], ids=["w1", "quasiperiodic_robin", "w1_nx49"])
+], ids=["w1", "quasiperiodic_robin", "w1_nx50_nyquist_mode", "w1_nx49"])
 def test_materialized_matches_matrix_free(make_system):
     system = make_system()
     full = system.materialize()
