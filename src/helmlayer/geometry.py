@@ -1,16 +1,16 @@
 """Hard-core particle layers: Matérn sampling, distance fields, hypothesis checks.
 
 Particles are unit-radius disks whose centers live in the slab
-R x (0, h); all lateral arithmetic is optionally periodic with the cell
-width. Sampling is driven by counter-based Philox streams so that the
-realization drawn for a given (master_seed, index) pair never depends on
-execution order.
+R x (0, h), periodic laterally with the cell width: every lateral
+separation is wrapped into [-width/2, width/2]. Sampling is driven by
+counter-based Philox streams so that the realization drawn for a given
+(master_seed, index) pair never depends on execution order.
 
 All pair and nearest-center work is one sort-and-sweep along the lateral
 axis, O(N log N) in time and O(N) in memory for N points: the slab height is
 O(1) while the width grows, so the points are sorted by lateral coordinate
-(reduced into the cell, with images at +-width when periodic) and
-`searchsorted` yields, for each query, the points within a lateral reach.
+(reduced into the cell, with images at +-width) and `searchsorted` yields,
+for each query, the points within a lateral reach.
 Every candidate is then re-checked with the exact formula (`lateral_delta`,
 then dx*dx + dy*dy), so the results are those of comparing all pairs. A
 nearest-center query takes as its reach the distance to the laterally
@@ -51,15 +51,12 @@ class LayerSpec:
     delta : float
         Minimal gap between particles and to the slab faces.
     width : float
-        Lateral cell width.
-    periodic : bool
-        Whether lateral distances wrap modulo `width`.
+        Lateral period; lateral distances wrap modulo `width`.
     """
 
     h: float = 5.0
     delta: float = 0.05
     width: float = 50.0
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if not self.h > 2.0:
@@ -102,49 +99,44 @@ class PointProcessParams:
         return self.rho * layer.width * layer.h / math.pi
 
 
-def lateral_delta(dx: np.ndarray | float, width: float, periodic: bool) -> np.ndarray | float:
-    """Signed lateral separation, wrapped into [-width/2, width/2] if periodic."""
-    if periodic:
-        return dx - width * np.rint(dx / width)
-    return dx
+def lateral_delta(dx: np.ndarray | float, width: float) -> np.ndarray | float:
+    """Signed lateral separation, wrapped into [-width/2, width/2]."""
+    return dx - width * np.rint(dx / width)
 
 
 def _sq_distance(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
-                 width: float, periodic: bool) -> np.ndarray:
+                 width: float) -> np.ndarray:
     """Squared distance from a to b in the layer metric, elementwise."""
-    dx = lateral_delta(xa - xb, width, periodic)
+    dx = lateral_delta(xa - xb, width)
     dy = ya - yb
     return dx * dx + dy * dy
 
 
 class _LateralSweep:
-    """Points sorted by lateral coordinate, with their images at +-width if periodic.
+    """Points sorted by lateral coordinate, with their images at +-width.
 
-    Keys are x reduced into [0, width] when periodic (raw x otherwise); a key
-    difference equals the wrapped `lateral_delta` up to round-off, which the
-    reach is padded by.
+    Keys are x reduced into [0, width]; a key difference equals the wrapped
+    `lateral_delta` up to round-off, which the reach is padded by.
     """
 
-    def __init__(self, x: np.ndarray, width: float, periodic: bool) -> None:
-        self.x, self.width, self.periodic = x, width, periodic
-        key = np.mod(x, width) if periodic else x
+    def __init__(self, x: np.ndarray, width: float) -> None:
+        self.x, self.width = x, width
+        key = np.mod(x, width)
         self.order = order = np.argsort(key)
         keys = key[order]
-        if periodic:
-            keys = np.concatenate((keys - width, keys, keys + width))
-            order = np.concatenate((order, order, order))
-        self.keys, self.index = keys, order
+        self.keys = np.concatenate((keys - width, keys, keys + width))
+        self.index = np.concatenate((order, order, order))
         self.pad = 1e-9 * (1.0 + width + np.abs(x).max(initial=0.0))
 
     def key(self, xq: np.ndarray) -> np.ndarray:
-        return np.mod(xq, self.width) if self.periodic else xq
+        return np.mod(xq, self.width)
 
     def candidates(self, xq: np.ndarray, reach: np.ndarray | float
                    ) -> tuple[np.ndarray, np.ndarray]:
         """(query, point) index pairs, query-major, of every point whose wrapped
         lateral separation from query q may be at most reach (scalar or per query)."""
-        if self.periodic:  # no wrapped separation exceeds width/2: a wider window adds only images
-            reach = np.minimum(reach, self.width / 2.0)
+        # no wrapped separation exceeds width/2: a wider window adds only images
+        reach = np.minimum(reach, self.width / 2.0)
         reach = reach + (self.pad + 1e-9 * np.abs(xq).max(initial=0.0))
         k = self.key(xq)
         lo = self.keys.searchsorted(k - reach)
@@ -162,12 +154,12 @@ class _LateralSweep:
         return q[later], p[later]
 
 
-def _close_pairs(points: np.ndarray, min_dist: float, width: float,
-                 periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+def _close_pairs(points: np.ndarray, min_dist: float,
+                 width: float) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (i, j), i < j, at distance strictly below min_dist."""
     x, y = points[:, 0], points[:, 1]
-    i, j = _LateralSweep(x, width, periodic).pairs(min_dist)
-    close = _sq_distance(x[i], y[i], x[j], y[j], width, periodic) < min_dist * min_dist
+    i, j = _LateralSweep(x, width).pairs(min_dist)
+    close = _sq_distance(x[i], y[i], x[j], y[j], width) < min_dist * min_dist
     return i[close], j[close]
 
 
@@ -213,13 +205,13 @@ class ParticleConfiguration:
         if len(c) < 2:
             return math.inf
         x, y = c[:, 0], c[:, 1]
-        w, periodic = self.layer.width, self.layer.periodic
-        sweep = _LateralSweep(x, w, periodic)
+        w = self.layer.width
+        sweep = _LateralSweep(x, w)
         # any pair bounds the minimum, and laterally adjacent ones bound it tightly
         a, b = sweep.order[:-1], sweep.order[1:]
-        bound = _sq_distance(x[a], y[a], x[b], y[b], w, periodic).min()
+        bound = _sq_distance(x[a], y[a], x[b], y[b], w).min()
         i, j = sweep.pairs(math.sqrt(bound))
-        return float(np.sqrt(_sq_distance(x[i], y[i], x[j], y[j], w, periodic).min()))
+        return float(np.sqrt(_sq_distance(x[i], y[i], x[j], y[j], w).min()))
 
     def translated(self, shift: float) -> "ParticleConfiguration":
         """Configuration with every lateral coordinate shifted by `shift`."""
@@ -236,22 +228,21 @@ class ParticleConfiguration:
 
 
 def _matern_keep_mask(points: np.ndarray, scores: np.ndarray, min_dist: float,
-                      width: float, periodic: bool) -> np.ndarray:
+                      width: float) -> np.ndarray:
     """Matérn type-II retention: drop any point conflicting with a lower score.
 
     Ties broken by index (lower index wins). Deletion is simultaneous with
     respect to the original point set.
     """
     keep = np.ones(len(points), dtype=bool)
-    i, j = _close_pairs(points, min_dist, width, periodic)
+    i, j = _close_pairs(points, min_dist, width)
     i_wins = scores[i] <= scores[j]
     keep[j[i_wins]] = False
     keep[i[~i_wins]] = False
     return keep
 
 
-def _sequential_keep_mask(points: np.ndarray, min_dist: float,
-                          width: float, periodic: bool) -> np.ndarray:
+def _sequential_keep_mask(points: np.ndarray, min_dist: float, width: float) -> np.ndarray:
     """Index-order sequential inhibition (the hardcore_poisson kind).
 
     Each point is checked only against its earlier neighbours closer than
@@ -259,7 +250,7 @@ def _sequential_keep_mask(points: np.ndarray, min_dist: float,
     """
     n = len(points)
     keep = np.zeros(n, dtype=bool)
-    earlier, later = _close_pairs(points, min_dist, width, periodic)
+    earlier, later = _close_pairs(points, min_dist, width)
     by_later = np.argsort(later)
     earlier, later = earlier[by_later], later[by_later]
     bounds = np.searchsorted(later, np.arange(n + 1))
@@ -274,8 +265,8 @@ def sample_matern(params: PointProcessParams, layer: LayerSpec, seed: int,
 
     Steps: draw N_p ~ Poisson(nu), place N_p centers uniformly in the
     admissible sub-slab [1+delta, h-1], assign i.i.d. uniform scores, and
-    delete every center conflicting (distance < 2+delta, periodic lateral
-    metric when the layer is periodic) with a strictly lower-scored center.
+    delete every center conflicting (distance < 2+delta in the periodic
+    lateral metric) with a strictly lower-scored center.
     Deterministic for fixed (seed, stream).
     """
     rng = substream(seed, stream)
@@ -287,11 +278,9 @@ def sample_matern(params: PointProcessParams, layer: LayerSpec, seed: int,
     scores = rng.uniform(size=n_p)
     points = np.column_stack([x, y]) if n_p else np.zeros((0, 2))
     if params.kind == "matern2":
-        keep = _matern_keep_mask(points, scores, layer.hardcore_distance,
-                                 layer.width, layer.periodic)
+        keep = _matern_keep_mask(points, scores, layer.hardcore_distance, layer.width)
     else:
-        keep = _sequential_keep_mask(points, layer.hardcore_distance,
-                                     layer.width, layer.periodic)
+        keep = _sequential_keep_mask(points, layer.hardcore_distance, layer.width)
     return ParticleConfiguration(points[keep], layer, seed, stream)
 
 
@@ -304,15 +293,15 @@ def _nearest_sq_distance(config: ParticleConfiguration, xq: np.ndarray,
     """
     c = config.centers
     x, y = c[:, 0], c[:, 1]
-    w, periodic = config.layer.width, config.layer.periodic
-    sweep = _LateralSweep(x, w, periodic)
+    w = config.layer.width
+    sweep = _LateralSweep(x, w)
     pos = sweep.keys.searchsorted(sweep.key(xq))
     left = sweep.index[np.maximum(pos - 1, 0)]
     right = sweep.index[np.minimum(pos, len(sweep.keys) - 1)]
-    bound = np.minimum(_sq_distance(xq, yq, x[left], y[left], w, periodic),
-                       _sq_distance(xq, yq, x[right], y[right], w, periodic))
+    bound = np.minimum(_sq_distance(xq, yq, x[left], y[left], w),
+                       _sq_distance(xq, yq, x[right], y[right], w))
     q, p = sweep.candidates(xq, np.sqrt(bound))
-    d2 = _sq_distance(xq[q], yq[q], x[p], y[p], w, periodic)
+    d2 = _sq_distance(xq[q], yq[q], x[p], y[p], w)
     # every query has a candidate: the laterally nearest center itself
     return np.minimum.reduceat(d2, np.searchsorted(q, np.arange(len(xq))))
 

@@ -137,7 +137,7 @@ def classify_nodes(grid: Grid, config: ParticleConfiguration | None,
     i_hi = np.ceil(i_c + half_w).astype(np.int64)
     j = j_lo + np.arange(int((j_hi - j_lo).max()) + 1)[:, None]
     i = i_lo + np.arange(int((i_hi - i_lo).max()) + 1)
-    dxp = lateral_delta(x0 + i * grid.dx - cx, grid.width, periodic=True)
+    dxp = lateral_delta(x0 + i * grid.dx - cx, grid.width)
     dyp = j * grid.dy - cy
     inside = (dxp * dxp + dyp * dyp < r2) & (j <= j_hi) & (i <= i_hi)
     rows, cols = np.broadcast_arrays(j, np.mod(i, grid.nx))

@@ -93,10 +93,6 @@ class ScatteringScene:
         return build_grid(self.period, self.L, target_dx,
                           interface_heights=(self.epsilon * self.H,))
 
-    def wrap_phase(self, wave: PlaneWave) -> complex:
-        """Recorded quasi-periodicity phase exp(i k1 T)."""
-        return complex(np.exp(1j * wave.k1 * self.period))
-
 
 def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
                        T: float) -> ReflectionCoefficient:

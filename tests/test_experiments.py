@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmlayer import ConfigError, DegenerateFit, experiments, sample_matern, solve_w1
+from helmlayer import (ConfigError, DegenerateFit, InvalidLayer, LayerSpec,
+                       ParticleConfiguration, experiments, sample_matern, solve_w1)
 from helmlayer.cli import main
 from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, obtain_c1,
                                    run_c1_study, run_validate)
@@ -50,12 +52,19 @@ def test_config_rejects_unknown_keys():
 
 
 def test_corrector_cells_are_periodic():
-    # the cell grid wraps laterally, whatever the sampled layer's own metric
-    cfg = ExperimentConfig.from_dict({"geometry": {"periodic": False}})
-    assert not cfg.layer.periodic
-    for width, expected in ((None, cfg.layer.width), (40.0, 40.0)):
+    # the layer metric is the cell grid's, periodic, with no flag to turn it off
+    with pytest.raises(ConfigError, match="geometry.periodic"):
+        ExperimentConfig.from_dict({"geometry": {"periodic": False}})
+    with pytest.raises(TypeError):
+        LayerSpec(periodic=False)
+    cfg = ExperimentConfig.from_dict({"geometry": {"width": 10.0}})
+    for width, expected in ((None, 10.0), (40.0, 40.0)):
         layer = cfg.corrector_config(width).layer
-        assert layer.periodic and layer.width == expected
+        assert layer == dataclasses.replace(cfg.layer, width=expected)
+    # two disks 0.2 apart across the seam of the width-10 cell overlap
+    with pytest.raises(InvalidLayer, match="hard-core"):
+        ParticleConfiguration(np.array([[4.9, 2.0], [-4.9, 2.0]]),
+                              cfg.corrector_config().layer, seed=0)
 
 
 def test_config_epsilon_list_validation():
@@ -128,6 +137,22 @@ def test_c1_study_moves_every_sample_to_the_requested_interface(tmp_path):
     w1 = solve_w1(widest, sample_matern(widest.process, widest.layer, 77, stream=0))
     last = (tmp_path / "out" / "c1_width.csv").read_text().splitlines()[-1]
     assert last == f"96.0,1,{w1.c1!r},"
+
+
+def test_c1_study_reuses_its_estimate_for_the_configured_width(tmp_path, monkeypatch):
+    config = _tiny_c1_config(tmp_path, geometry={"h": 5.0, "delta": 0.05, "width": 10.0})
+    widths = []
+    estimate_c1 = experiments.estimate_c1
+
+    def counting_estimate_c1(cfg, *args, **kwargs):
+        widths.append(cfg.layer.width)
+        return estimate_c1(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_c1", counting_estimate_c1)
+    est = run_c1_study(config)
+    assert widths == [10.0, 5.0, 20.0]
+    rows = (tmp_path / "out" / "c1_width.csv").read_text().splitlines()
+    assert rows[2] == f"10.0,4,{est.mean!r},{est.std_err!r}"
 
 
 def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
@@ -221,6 +246,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     bad.write_bytes(b'{"output_dir": "\xff"}')  # not UTF-8
     assert main(["--config", str(bad), "sample"]) == 3
+
+
+def test_cli_rejects_a_non_periodic_layer(tmp_path, capsys):
+    # at width 10 and seed 1, the two disks sit 1.59 apart across the seam,
+    # which only a non-periodic metric would have accepted
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"geometry": {"periodic": False, "width": 10.0},
+                               "master_seed": 1}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "corrector-profile"]) == 3
+    assert "geometry.periodic" in capsys.readouterr().err
+    assert not (out / "decay_profile.csv").exists()
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

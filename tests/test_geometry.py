@@ -109,14 +109,14 @@ def test_hardcore_poisson_kind_samples(small_layer):
 
 
 def test_distance_field_345_triangle():
-    layer = LayerSpec(h=5.0, delta=0.05, width=50.0, periodic=False)
+    layer = LayerSpec(h=5.0, delta=0.05, width=50.0)
     config = ParticleConfiguration(np.array([[0.0, 2.0]]), layer, seed=0)
     assert distance_field(config, (3.0, 6.0)) == pytest.approx(5.0)
     assert distance_field(config, (0.0, 2.0)) == 0.0
 
 
 def test_distance_field_periodic_wraparound():
-    layer = LayerSpec(h=5.0, delta=0.05, width=10.0, periodic=True)
+    layer = LayerSpec(h=5.0, delta=0.05, width=10.0)
     config = ParticleConfiguration(np.array([[4.5, 2.0], [0.0, 2.0]]), layer, seed=0)
     assert distance_field(config, (-4.5, 2.0)) == pytest.approx(1.0)
 
@@ -221,7 +221,7 @@ def test_csv_export(tmp_path, small_realization):
 # bit for bit.
 
 def _all_pairs_sq(xa, ya, xb, yb, layer):
-    dx = lateral_delta(xa[:, None] - xb[None, :], layer.width, layer.periodic)
+    dx = lateral_delta(xa[:, None] - xb[None, :], layer.width)
     dy = ya[:, None] - yb[None, :]
     return dx * dx + dy * dy
 
@@ -279,12 +279,10 @@ def oracle_check_hypotheses(params, layer, n_samples, m, master_seed, n_lateral,
 SWEEP_LAYERS = [
     # narrowest legal width: a pair can be found through two images
     LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9),
-    LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9, periodic=False),
     # reach exactly half the width
     LayerSpec(h=4.0, delta=0.0, width=4.0),
     LayerSpec(h=5.0, delta=0.05, width=7.0),
     LayerSpec(h=5.0, delta=0.3, width=40.0),
-    LayerSpec(h=5.0, delta=0.05, width=30.0, periodic=False),
 ]
 
 
@@ -298,18 +296,20 @@ def _draw(rng, layer, tied):
     return points, scores
 
 
-@pytest.mark.parametrize("layer", SWEEP_LAYERS, ids=lambda l: f"w{l.width:.3g}-p{l.periodic:d}")
+# "-p1" (periodic) and the seed offset 1 keep each case's id and draws the same
+# as in earlier test reports
+@pytest.mark.parametrize("layer", SWEEP_LAYERS, ids=lambda l: f"w{l.width:.3g}-p1")
 def test_sweep_matches_all_pairs(layer):
-    rng = np.random.default_rng(int(layer.width * 1000) + layer.periodic)
+    rng = np.random.default_rng(int(layer.width * 1000) + 1)
     md = layer.hardcore_distance
     for trial in range(60):
         points, scores = _draw(rng, layer, tied=trial % 2 == 0)
         # x far outside the cell, as after translated()
         shift = (0.0, 5.5 * layer.width + 0.3, -17.0 * layer.width)[trial % 3]
         points[:, 0] += shift
-        keep = geometry._matern_keep_mask(points, scores, md, layer.width, layer.periodic)
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width)
         assert np.array_equal(keep, oracle_matern_keep(points, scores, layer))
-        seq = geometry._sequential_keep_mask(points, md, layer.width, layer.periodic)
+        seq = geometry._sequential_keep_mask(points, md, layer.width)
         assert np.array_equal(seq, oracle_sequential_keep(points, layer))
         if not seq.any():
             continue
@@ -324,30 +324,28 @@ def test_sweep_matches_all_pairs(layer):
         assert distance_field(config, (xq[0], yq[0])) == oracle_distance(config, xq, yq)[0]
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_pair_at_exactly_the_hardcore_distance_is_kept(periodic):
-    layer = LayerSpec(h=5.0, delta=0.05, width=10.0, periodic=periodic)
+def test_pair_at_exactly_the_hardcore_distance_is_kept():
+    layer = LayerSpec(h=5.0, delta=0.05, width=10.0)
     md = layer.hardcore_distance
     points = np.array([[0.0, 2.0], [md, 2.0], [-md, 2.0]])
     for scores in (np.array([0.1, 0.2, 0.3]), np.zeros(3)):
-        keep = geometry._matern_keep_mask(points, scores, md, layer.width, periodic)
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width)
         assert keep.all() and oracle_matern_keep(points, scores, layer).all()
-        assert geometry._sequential_keep_mask(points, md, layer.width, periodic).all()
+        assert geometry._sequential_keep_mask(points, md, layer.width).all()
     config = ParticleConfiguration(points, layer, seed=0)
     assert config.min_pairwise_distance() == md == oracle_min_pairwise(points, layer)
     # one ulp closer conflicts, and the lower score (index on a tie) wins
     points[1, 0] = np.nextafter(md, 0.0)
-    keep = geometry._matern_keep_mask(points, np.array([0.2, 0.1, 0.3]), md, layer.width, periodic)
+    keep = geometry._matern_keep_mask(points, np.array([0.2, 0.1, 0.3]), md, layer.width)
     assert keep.tolist() == [False, True, True]
-    keep = geometry._matern_keep_mask(points, np.zeros(3), md, layer.width, periodic)
+    keep = geometry._matern_keep_mask(points, np.zeros(3), md, layer.width)
     assert keep.tolist() == [True, False, True]
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_pairs_within_ulps_of_the_hardcore_distance(periodic):
+def test_pairs_within_ulps_of_the_hardcore_distance():
     # the sweep's lateral keys are rounded differently from lateral_delta, so
     # pairs a few ulps either side of 2 + delta test its reach padding
-    layer = LayerSpec(h=5.0, delta=0.05, width=50.0, periodic=periodic)
+    layer = LayerSpec(h=5.0, delta=0.05, width=50.0)
     md = layer.hardcore_distance
     rng = np.random.default_rng(11)
     scores = np.array([0.1, 0.2])
@@ -355,13 +353,12 @@ def test_pairs_within_ulps_of_the_hardcore_distance(periodic):
         x0 = rng.uniform(-25.0, 25.0)
         step = md * (1.0 + rng.integers(-8, 9) * 1.1e-16) * rng.choice([-1.0, 1.0])
         points = np.array([[x0, 2.0], [x0 + step, 2.0]])
-        keep = geometry._matern_keep_mask(points, scores, md, layer.width, periodic)
+        keep = geometry._matern_keep_mask(points, scores, md, layer.width)
         assert np.array_equal(keep, oracle_matern_keep(points, scores, layer))
 
 
 @pytest.mark.parametrize("layer, rho", [(LayerSpec(h=5.0, delta=0.05, width=50.0), 0.4),
-                                        (LayerSpec(h=5.0, delta=0.05, width=30.0,
-                                                   periodic=False), 0.4),
+                                        (LayerSpec(h=5.0, delta=0.05, width=30.0), 0.4),
                                         (LayerSpec(h=5.0, delta=0.05, width=2.1 + 1e-9), 0.9)])
 def test_check_hypotheses_matches_all_pairs(layer, rho):
     params = PointProcessParams(rho=rho)

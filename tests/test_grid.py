@@ -85,7 +85,7 @@ def _classify_per_disk(grid, config, scale):
         j_hi = min(grid.ny - 1, math.ceil((cy + scale) / grid.dy))
         i_c, half_w = (cx - x0) / grid.dx, scale / grid.dx + 1.0
         i_range = np.arange(math.floor(i_c - half_w), math.ceil(i_c + half_w) + 1)
-        dxp = lateral_delta(x0 + i_range * grid.dx - cx, grid.width, periodic=True)
+        dxp = lateral_delta(x0 + i_range * grid.dx - cx, grid.width)
         for j in range(j_lo, j_hi + 1):
             dyp = j * grid.dy - cy
             inside = dxp * dxp + dyp * dyp < r2
