@@ -1,10 +1,15 @@
-"""Finite-difference assembly of Laplace/Helmholtz systems on the cell grid.
+"""Finite-difference assembly of the Helmholtz problem (k >= 0) on the cell grid.
 
-Five-point second-order interior stencil, one-sided second-order bottom
-Robin/Neumann rows, identity rows on particle nodes, and a modal map on
-every lateral mode coupling the whole top line. `assemble` writes the CSR
-arrays of the sparse part in place: per-row entry counts give indptr, and
-every stencil slot goes straight to its final, column-sorted position.
+One boundary-value problem: -Laplace u - k^2 u in the cell minus the
+particles, with k and the quasi-momentum k1 read from the closure's DtnSpec.
+The W1 corrector is its static case k = 0 (Laplace); the reference solve
+has k > 0. Five-point second-order interior stencil, one-sided second-order
+bottom rows -du/dy + i k gamma u = 0 (Neumann at k = 0 or gamma = 0),
+identity rows on particle nodes, and top rows -du/dy + Lambda u = g with
+the modal map Lambda on every lateral mode coupling the whole top line.
+`assemble` writes the CSR arrays of the sparse part in place: per-row entry
+counts give indptr, and every stencil slot goes straight to its final,
+column-sorted position.
 Memory is O(nnz) with no triplet lists: the traced peak is about 1.4 times
 the returned matrix and rhs (1.6 times for a W1 cell). The quasi-momentum
 alpha (seam phase and modal map alike) is the closure's DtnSpec.k1. The
@@ -20,13 +25,12 @@ narrow band in its factor (the whole circulant on narrow rows), and
 auxiliary unknown per nonzero multiplier instead, coupled through the phased
 DFT of the top trace; the solver uses neither explicit form.
 
-A Laplace problem with a Neumann bottom, the periodic-Laplace closure (zero
-quasi-momentum) and real source data (the W1 corrector) is real: no i k
-gamma Robin term, no seam phase, and real multipliers even in the mode
-index m. It is assembled in float64, and so is its materialized matrix (its
-bordered matrix is complex128). Every other system is complex128. Flattened
-node index: idx(i, j) = j*nx + i, so the top line is the final contiguous
-block of unknowns.
+A problem with k = 0, k1 = 0 and real top forcing (the W1 corrector) is
+real: no i k gamma Robin term, no seam phase, and real multipliers even in
+the mode index m. It is assembled in float64, and so is its materialized
+matrix (its bordered matrix is complex128). Every other system is
+complex128. Flattened node index: idx(i, j) = j*nx + i, so the top line is
+the final contiguous block of unknowns.
 
 scipy.sparse is imported inside the functions that build a sparse matrix,
 not at module level: importing the package, and every geometry, grid and
@@ -48,21 +52,16 @@ from .grid import DtnSpec, Grid, NodeClass, circulant_offsets, dtn_apply, dtn_mu
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-PROBLEM_KINDS = ("laplace", "helmholtz")
-BOTTOM_KINDS = ("neumann", "robin")
-
-
 @dataclass
 class Sources:
     """Right-hand-side data accepted by `assemble`.
 
-    flux_jump_height / flux_jump_value : prescribed jump [-du/dy] across a
-        snapped interior grid line; enters the interface row rhs as value/dy.
-    top_forcing : data g added to the top (modal closure) rows.
+    flux_jump_height : snapped interior grid line carrying the unit jump
+        [-du/dy] = 1 of the W1 corrector; enters the interface rows' rhs as 1/dy.
+    top_forcing : data g of the top (modal closure) rows.
     """
 
     flux_jump_height: float | None = None
-    flux_jump_value: complex = 1.0
     top_forcing: np.ndarray | None = None
 
 
@@ -172,37 +171,23 @@ def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float
         (vals.ravel(), (n - nx + rows).ravel().astype(np.int32), indptr), shape=(n, n))
 
 
-def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
-             dtn: DtnSpec, k: float = 0.0, gamma: complex = 0.0, sources: Sources | None = None) -> DiscreteSystem:
-    """Assemble the discrete system for one boundary-value problem.
+def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
+             sources: Sources | None = None) -> DiscreteSystem:
+    """Assemble the discrete Helmholtz system with wavenumber dtn.k >= 0.
 
-    Parameters
-    ----------
-    problem_kind : "laplace" or "helmholtz" (adds -k^2 on the diagonal).
-    bottom : "neumann" or "robin"; the Robin row is -du/dy + i k gamma u = 0.
-    dtn : top-line modal closure; the Laplace kind assembles du/dy + Lambda u,
-        the Helmholtz kind -du/dy + Lambda u (outgoing convention). Its k1 is
-        the quasi-momentum alpha: seam couplings carry exp(+-i alpha width).
+    dtn : top-line modal closure; the top rows are -du/dy + Lambda u = g
+        (outgoing convention). Its k puts -k^2 on the interior diagonal and
+        i k gamma in the bottom rows; its k1 is the quasi-momentum alpha:
+        seam couplings carry exp(+-i alpha width).
 
-    Operator and rhs are float64 for a Laplace problem with a Neumann bottom,
-    the periodic-Laplace closure (so zero quasi-momentum) and real sources,
-    and complex128 otherwise.
+    Operator and rhs are float64 when k = 0, k1 = 0 and the top forcing is
+    real, and complex128 otherwise.
     """
-    if problem_kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {problem_kind!r}")
-    if bottom not in BOTTOM_KINDS:
-        raise ValueError(f"unknown bottom condition {bottom!r}")
-    if problem_kind == "helmholtz" and k <= 0:
-        raise ValueError("helmholtz assembly needs k > 0")
     if tags.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("tag array does not match the grid")
     sources = sources or Sources()
-    data = [sources.top_forcing]
-    if sources.flux_jump_height is not None:
-        data.append(sources.flux_jump_value)
-    data_type = np.result_type(np.float64, *(np.asarray(d) for d in data if d is not None))
-    real = (problem_kind == "laplace" and bottom == "neumann"
-            and dtn.kind == "laplace_periodic" and data_type == np.float64)
+    k = dtn.k
+    real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(sources.top_forcing)
     dtype = np.float64 if real else np.complex128
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
@@ -237,7 +222,7 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
     ridx = nx + np.flatnonzero(~dirichlet[nx:n - nx])
     first = indptr[ridx]
     lo, hi = ridx % nx == 0, ridx % nx == nx - 1
-    center = 2.0 / dx2 + 2.0 / dy2 - (k * k if problem_kind == "helmholtz" else 0.0)
+    center = 2.0 / dx2 + 2.0 / dy2 - k * k
     put(first, ridx - nx, -1.0 / dy2)
     put(first + 2 - lo + hi, ridx, center)
     put(first + 1 + 2 * lo + hi, ridx - 1 + nx * lo, np.where(lo, -wrap_minus / dx2, -1.0 / dx2))
@@ -249,22 +234,22 @@ def assemble(grid: Grid, tags: np.ndarray, problem_kind: str, bottom: str,
             raise UnsnappedInterface("flux jump line must be an interior grid line")
         jump_idx = j_jump * nx + np.arange(nx)
         jump_idx = jump_idx[~dirichlet[jump_idx]]
-        rhs[jump_idx] += sources.flux_jump_value / grid.dy
-    # bottom rows: one-sided second-order -du/dy (+ i k gamma u for Robin)
+        rhs[jump_idx] += 1.0 / grid.dy
+    # bottom rows: one-sided second-order -du/dy + i k gamma u; at k = 0 the
+    # Robin term is a complex zero, which a float64 system must not receive
     b_free = np.flatnonzero(~dirichlet[:nx])
     first = indptr[b_free]
-    put(first, b_free, 1.5 / grid.dy + (1j * k * gamma if bottom == "robin" else 0.0))
+    put(first, b_free, 1.5 / grid.dy + (1j * k * gamma if k else 0.0))
     put(first + 1, b_free + nx, -2.0 / grid.dy)
     put(first + 2, b_free + 2 * nx, 0.5 / grid.dy)
 
-    # top rows: s*du/dy with s = +1 (laplace closure) or -1 (helmholtz closure);
-    # the modal term Lambda u is added by matvec and by the factored forms
-    s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
+    # top rows: one-sided -du/dy; the modal term Lambda u is added by matvec
+    # and by the factored forms
     t_idx = np.arange(n - nx, n)
     first = indptr[n - nx:-1]
-    put(first, t_idx - 2 * nx, s * 0.5 / grid.dy)
-    put(first + 1, t_idx - nx, s * -2.0 / grid.dy)
-    put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 + s * 1.5 / grid.dy, s * 1.5 / grid.dy))
+    put(first, t_idx - 2 * nx, -0.5 / grid.dy)
+    put(first + 1, t_idx - nx, 2.0 / grid.dy)
+    put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 - 1.5 / grid.dy, -1.5 / grid.dy))
     if sources.top_forcing is not None:
         g = np.asarray(sources.top_forcing, dtype=dtype)
         if len(g) != nx:

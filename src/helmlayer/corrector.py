@@ -27,7 +27,7 @@ class CorrectorConfig:
     """Geometry and discretization of the corrector cell.
 
     H is the flux-jump interface height (strictly above the particle layer),
-    L_cell the artificial top closed by the periodic-Laplace modal map.
+    L_cell the artificial top closed by the k = 0 (Laplace) modal map.
     Defaults: H = h + 2 and L_cell = H + width/4, so mode 1, the slowest
     decaying lateral mode, decays by exp(-pi/2) across the buffer. The solver
     eliminates the particle-free rows above the layer mode by mode, so a
@@ -140,18 +140,17 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid) -> dict:
 def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSolution:
     """Solve the unit-flux-jump corrector on one realization.
 
-    Laplace in the cell minus particles, homogeneous Neumann at the bottom,
-    homogeneous Dirichlet on particles, unit flux jump across the interface
-    line, periodic-Laplace modal closure at the top. The operator and the
-    data are real, so the field is float64. An empty realization propagates
-    SingularSystem (the injected flux has no outlet).
+    The k = 0 case of the assembled Helmholtz problem: Laplace in the cell
+    minus particles, homogeneous Neumann at the bottom, homogeneous
+    Dirichlet on particles, unit flux jump across the interface line, and
+    the periodic modal closure DtnSpec() (k = k1 = 0) at the top. The
+    operator and the data are real, so the field is float64. An empty
+    realization propagates SingularSystem (the injected flux has no outlet).
     """
     grid = cfg.cell_grid()
     snap = grid.snaps[0]
     tags = classify_nodes(grid, config, scale=1.0)
-    system = assemble(grid, tags, problem_kind="laplace", bottom="neumann",
-                      dtn=DtnSpec(kind="laplace_periodic"),
-                      sources=Sources(flux_jump_height=snap.snapped, flux_jump_value=1.0))
+    system = assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=snap.snapped))
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0

@@ -117,7 +117,7 @@ class ExperimentConfig:
         except (TypeError, ValueError, HelmlayerError) as exc:
             raise ConfigError(str(exc)) from exc
         settings = {"grid.target_dx": target_dx, "grid.nodes_per_diameter": nodes_per_diameter,
-                    "grid.dtn_gap": dtn_gap}
+                    "grid.dtn_gap": dtn_gap, "gamma.re": gamma.real, "gamma.im": gamma.imag}
         for key, value in settings.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, not {value!r}")
@@ -425,13 +425,13 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
 
     def dtn_spectral():
         width, nx = 20.0, 64  # m = 0, 1, 2 all propagating for this cell
-        lap = DtnSpec(kind="laplace_periodic")
+        lap = DtnSpec()  # k = 0: the W1 closure
         k, k1 = 1.0, 0.3
-        helm = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
+        helm = DtnSpec(k=k, k1=k1)
         worst = 0.0
         for m in (0, 1, 2):
             phi = quasi_mode(width, nx, m)
-            lam = 2.0 * abs(m) * math.pi / width
+            lam = -2.0 * abs(m) * math.pi / width
             worst = max(worst, float(np.abs(dtn_apply(lap, width, phi) - lam * phi).max()))
             phi_q = quasi_mode(width, nx, m, k1=k1)
             zeta = 2.0 * math.pi * m / width + k1

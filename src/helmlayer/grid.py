@@ -3,9 +3,9 @@
 The cell is [-width/2, width/2] x [0, top] with nx lateral nodes (periodic
 wrap, dx = width/nx) and ny vertical lines (dy fixed by the requested
 spacing, so every requested interface height lands exactly on a grid line
-after snapping). The top line carries a modal Dirichlet-to-Neumann map
-(periodic Laplace or quasi-periodic Helmholtz) on every lateral mode,
-applied through lateral FFTs.
+after snapping). The top line carries the quasi-periodic Helmholtz
+Dirichlet-to-Neumann map (k >= 0; k = 0 is the Laplace map of the W1
+corrector) on every lateral mode, applied through lateral FFTs.
 """
 
 from __future__ import annotations
@@ -145,47 +145,37 @@ def classify_nodes(grid: Grid, config: ParticleConfiguration | None,
     return tags
 
 
-DTN_KINDS = ("laplace_periodic", "helmholtz_quasiperiodic")
-
-
 @dataclass(frozen=True)
 class DtnSpec:
     """Modal Dirichlet-to-Neumann closure on the top line, on every lateral mode.
 
-    laplace_periodic: eigenvalues lambda_m = 2|m|pi/width on periodic modes
-    (k1 must be 0).
-    helmholtz_quasiperiodic: beta_m^2 = k^2 - (2 m pi/width + k1)^2; the top
-    row keeps outgoing propagating modes (-i beta_m) and vertically decaying
-    evanescent modes (-sqrt(...)).
-    k1 is the quasi-momentum of the assembled system, seam phase included.
+    beta_m^2 = k^2 - zeta_m^2 with zeta_m = 2 m pi/width + k1; the top row
+    keeps outgoing propagating modes (-i beta_m) and vertically decaying
+    evanescent modes (-sqrt(zeta_m^2 - k^2)). k = 0 is the static (Laplace)
+    limit of the W1 corrector: -sqrt(zeta_m^2), which is -2|m|pi/width at
+    k1 = 0. k1 is the quasi-momentum of the assembled system, seam phase
+    included.
     """
 
-    kind: str
     k: float = 0.0
     k1: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in DTN_KINDS:
-            raise InvalidDtnSpec(f"unknown DtN kind {self.kind!r}")
-        if self.kind == "helmholtz_quasiperiodic" and self.k <= 0:
-            raise InvalidDtnSpec("helmholtz closure needs k > 0")
-        if self.kind == "laplace_periodic" and self.k1 != 0.0:
-            raise InvalidDtnSpec("the periodic Laplace closure has no quasi-momentum k1")
+        if not 0.0 <= self.k < math.inf:
+            raise InvalidDtnSpec(f"the closure needs a finite k >= 0, not {self.k!r}")
+        if not math.isfinite(self.k1):
+            raise InvalidDtnSpec(f"the closure needs a finite k1, not {self.k1!r}")
 
 
 def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
     """Multipliers Lambda_m of all nx lateral modes, in numpy FFT ordering.
 
-    These are the eigenvalues of the operator Lambda appearing in the
-    assembled top rows: du/dy + Lambda u = 0 for the Laplace closure
-    (Lambda phi_m = 2|m|pi/width phi_m) and -du/dy + Lambda u = g for the
-    Helmholtz closure (Lambda phi_m = -i beta_m phi_m on propagating modes,
-    -sqrt(zeta_m^2 - k^2) phi_m on evanescent ones).
+    These are the eigenvalues of the operator Lambda in the assembled top
+    rows -du/dy + Lambda u = g: Lambda phi_m = -i beta_m phi_m on
+    propagating modes, -sqrt(zeta_m^2 - k^2) phi_m on evanescent ones.
     """
     m = np.arange(nx)
     m[m > nx // 2] -= nx
-    if spec.kind == "laplace_periodic":
-        return (2.0 * np.abs(m) * np.pi / width).astype(complex)
     zeta = 2.0 * np.pi * m / width + spec.k1
     rad = spec.k * spec.k - zeta * zeta
     prop = rad >= 0.0
@@ -198,8 +188,8 @@ def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
 def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
     """Apply the modal map to a top-line trace.
 
-    For the quasi-periodic closure the trace is phase-shifted by
-    exp(-i k1 x) to a periodic signal, filtered per mode, and shifted back.
+    For k1 != 0 the trace is phase-shifted by exp(-i k1 x) to a periodic
+    signal, filtered per mode, and shifted back.
     """
     trace = np.asarray(trace, dtype=complex)
     nx = len(trace)

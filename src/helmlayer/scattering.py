@@ -10,6 +10,7 @@ coefficient of exp(i(k1 x1 - k2 x2)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ class PlaneWave:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError("wavenumber k must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"wavenumber k must be positive and finite, not {self.k!r}")
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ValueError("incidence angle must lie in (-pi/2, pi/2)")
 
@@ -83,8 +84,9 @@ class ScatteringScene:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.gamma.real <= 0:
-            raise ValueError("need Re(gamma) > 0 (absorbing plane)")
+        if not (self.gamma.real > 0 and cmath.isfinite(self.gamma)):
+            raise ValueError(f"need a finite gamma with Re(gamma) > 0 (absorbing plane), "
+                             f"not {self.gamma!r}")
         if not self.epsilon * self.layer.h < self.epsilon * self.H < self.L:
             raise ValueError("need eps*h < eps*H < L")
 
@@ -130,12 +132,11 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave,
         )
     grid = scene.grid(target_dx)
     tags = classify_nodes(grid, scene.config, scale=scene.epsilon)
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=wave.k, k1=wave.k1)
+    dtn = DtnSpec(k=wave.k, k1=wave.k1)
     x = grid.x_nodes()
     inc_trace = np.exp(1j * (wave.k1 * x + wave.k2 * grid.top))
     forcing = -2j * wave.k2 * inc_trace
-    system = assemble(grid, tags, problem_kind="helmholtz", bottom="robin", dtn=dtn,
-                      k=wave.k, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
+    system = assemble(grid, tags, dtn, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
     sol, _ = solve(system)
     fld = sol.reshape(grid.ny, grid.nx)
     refl = extract_reflection(fld[-1], wave, grid.top, scene.period)

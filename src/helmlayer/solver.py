@@ -1,9 +1,9 @@
 """Direct SuperLU solve of the assembled systems, real or complex.
 
 SuperLU factors in the common dtype of the operator and the right-hand side:
-float64 for the real W1 corrector and complex128 for every other system (the
-Helmholtz problems, and a complex right-hand side a caller put on a real
-system).
+float64 for the real W1 corrector (k = 0) and complex128 for every other
+system (k > 0 or a seam phase, and a complex right-hand side a caller put on
+a real system).
 
 Only the particle band is factored. Above the particles every row of the
 assembled operator is the same five-point stencil across the grid, and the

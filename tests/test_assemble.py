@@ -15,14 +15,13 @@ from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
 def _laplace_neumann_system(nx_width=10.0, top=8.0, dx=0.2, jump=None):
     grid = build_grid(nx_width, top, dx, interface_heights=(4.0,))
     tags = classify_nodes(grid, None)
-    dtn = DtnSpec(kind="laplace_periodic")
     sources = Sources(flux_jump_height=4.0) if jump else None
-    system = assemble(grid, tags, "laplace", "neumann", dtn, sources=sources)
+    system = assemble(grid, tags, DtnSpec(), sources=sources)
     return grid, system
 
 
 def test_constants_in_kernel():
-    # Neumann bottom, no particles, periodic-Laplace closure: A @ 1 = 0
+    # k = 0: Neumann bottom, no particles, periodic closure: A @ 1 = 0
     grid, system = _laplace_neumann_system()
     ones = np.ones(system.n, dtype=complex)
     out = system.matvec(ones)
@@ -43,8 +42,7 @@ def test_quasiperiodic_wrap_phase():
     k1 = k * math.sin(math.pi / 4.0)
     grid = build_grid(10.0, 2.0, 0.2)
     tags = classify_nodes(grid, None)
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
-    system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j)
+    system = assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j)
     a = system.local.tocsr()
     j = 2
     row = j * grid.nx  # i = 0, interior: left neighbour wraps with exp(-i k1 W)
@@ -79,8 +77,7 @@ def test_dirichlet_rows_are_identity():
     config = ParticleConfiguration(np.array([[0.0, 4.0]]), layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.2)
     tags = classify_nodes(grid, config)
-    dtn = DtnSpec(kind="laplace_periodic")
-    system = assemble(grid, tags, "laplace", "neumann", dtn)
+    system = assemble(grid, tags, DtnSpec())
     flat = tags.ravel()
     a = system.local.tocsr()
     idx = np.flatnonzero(flat == NodeClass.PARTICLE_DIRICHLET)[:5]
@@ -101,9 +98,8 @@ def _quasiperiodic_robin_case():
     k = 1.0
     k1 = k * math.sin(math.pi / 4.0)
     grid = build_grid(10.0, 2.0, 0.2)
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
-    return assemble(grid, classify_nodes(grid, None), "helmholtz", "robin", dtn, k=k,
-                    gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+    return assemble(grid, classify_nodes(grid, None), DtnSpec(k=k, k1=k1), gamma=1 + 1j,
+                    sources=Sources(top_forcing=np.ones(grid.nx)))
 
 
 FACTORED_FORM_CASES = pytest.mark.parametrize(
@@ -198,30 +194,30 @@ def test_bordered_matches_matrix_free(make_system):
 def test_operator_dtype_follows_the_problem():
     grid = build_grid(10.0, 8.0, 0.2, interface_heights=(4.0,))
     tags = classify_nodes(grid, None)
-    lap = DtnSpec(kind="laplace_periodic")
-    w1 = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(flux_jump_height=4.0))
+    w1 = assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=4.0))
     assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
+    # k = 0 and real data: the Robin coefficient i k gamma vanishes, the system stays real
+    robin_at_rest = assemble(grid, tags, DtnSpec(), gamma=1 + 1j,
+                             sources=Sources(top_forcing=np.ones(grid.nx)))
+    assert (robin_at_rest.local.dtype, robin_at_rest.rhs.dtype) == (np.float64, np.float64)
     g = np.full(grid.nx, 1.0 - 1.0j)
-    forced = assemble(grid, tags, "laplace", "neumann", lap, sources=Sources(top_forcing=g))
+    forced = assemble(grid, tags, DtnSpec(), sources=Sources(top_forcing=g))
     assert np.array_equal(forced.rhs[forced.top], g)
     k, k1 = 1.0, math.sin(math.pi / 4.0)
     complex_systems = [
         forced,  # W1's operator, but complex data
-        assemble(grid, tags, "helmholtz", "robin",
-                 DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1),
-                 k=k, gamma=1 + 1j),
-        assemble(grid, tags, "helmholtz", "neumann",
-                 DtnSpec(kind="helmholtz_quasiperiodic", k=k), k=k),
-        assemble(grid, tags, "laplace", "robin", lap, k=k, gamma=1 + 1j),
+        assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j),
+        assemble(grid, tags, DtnSpec(k=k)),  # gamma = 0: a Neumann bottom
+        assemble(grid, tags, DtnSpec(k1=k1)),  # k = 0 with a seam phase
     ]
     for system in complex_systems:
         assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)
         assert system.bordered()[0].dtype == np.complex128
 
 
-def _coo_reference(grid, tags, problem_kind, bottom, dtn, dtype, k=0.0, gamma=0.0,
-                   sources=Sources()):
+def _coo_reference(grid, tags, dtn, dtype, gamma=0.0, sources=Sources()):
     """Operator and rhs from per-stencil COO triplets, duplicates summed by scipy."""
+    k = dtn.k
     nx, n = grid.nx, grid.n_nodes
     dx2, dy2, dy = grid.dx ** 2, grid.dy ** 2, grid.dy
     wrap = [np.exp(sign * 1j * dtn.k1 * grid.width) if dtn.k1 else 1.0 for sign in (-1, 1)]
@@ -239,22 +235,21 @@ def _coo_reference(grid, tags, problem_kind, bottom, dtn, dtype, k=0.0, gamma=0.
     r = np.arange(nx, n - nx)
     r = r[~dirichlet[r]]
     i = r % nx
-    add(r, r, 2.0 / dx2 + 2.0 / dy2 - (k * k if problem_kind == "helmholtz" else 0.0))
+    add(r, r, 2.0 / dx2 + 2.0 / dy2 - k * k)
     add(r, r - i + (i - 1) % nx, np.where(i == 0, -wrap[0] / dx2, -1.0 / dx2))
     add(r, r - i + (i + 1) % nx, np.where(i == nx - 1, -wrap[1] / dx2, -1.0 / dx2))
     add(r, r - nx, -1.0 / dy2)
     add(r, r + nx, -1.0 / dy2)
     if sources.flux_jump_height is not None:
         jump = grid.j_of_height(sources.flux_jump_height) * nx + np.arange(nx)
-        rhs[jump[~dirichlet[jump]]] += sources.flux_jump_value / dy
+        rhs[jump[~dirichlet[jump]]] += 1.0 / dy
     b = np.flatnonzero(~dirichlet[:nx])
-    add(b, b, 1.5 / dy + (1j * k * gamma if bottom == "robin" else 0.0))
+    add(b, b, 1.5 / dy + (1j * k * gamma if k else 0.0))
     add(b, b + nx, -2.0 / dy)
     add(b, b + 2 * nx, 0.5 / dy)
-    s = 1.0 if dtn.kind == "laplace_periodic" else -1.0
     t = np.arange(n - nx, n)
     for shift, v in ((0, 1.5), (nx, -2.0), (2 * nx, 0.5)):
-        add(t, t - shift, s * v / dy)
+        add(t, t - shift, -v / dy)
     if sources.top_forcing is not None:
         rhs[t] = sources.top_forcing
     coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -272,34 +267,31 @@ def _oracle_case(name):
     tags = classify_nodes(grid, config)
     rng = np.random.default_rng(3)
     nx = grid.nx
-    lap = DtnSpec(kind="laplace_periodic")
-    k, k1 = 1.0, math.sin(0.7)
-    helm = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
-    complex_data = Sources(flux_jump_height=2.0, flux_jump_value=0.5 - 2j,
-                           top_forcing=np.exp(1j * k1 * grid.x_nodes()))
+    w1 = DtnSpec()
+    helm = DtnSpec(k=1.0, k1=math.sin(0.7))
+    complex_data = Sources(flux_jump_height=2.0,
+                           top_forcing=(0.5 - 2j) * np.exp(1j * helm.k1 * grid.x_nodes()))
     if name.startswith("hand_tags"):
         # Dirichlet on the bottom and top rows, seam columns included
         tags = tags.copy()
         tags[0, [0, 7, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
         tags[-1, [0, 11, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
     return grid, tags, {
-        "w1_flux_jump": ("laplace", "neumann", lap, {"sources": Sources(flux_jump_height=2.0)}),
-        "laplace_real_data": ("laplace", "neumann", lap, {"sources": Sources(
-            top_forcing=rng.normal(size=nx), flux_jump_height=2.0, flux_jump_value=0.5)}),
-        "helmholtz_robin_seam": ("helmholtz", "robin", helm,
-                                 {"k": k, "gamma": 1 + 1j, "sources": complex_data}),
-        "hand_tags": ("helmholtz", "robin", helm, {"k": k, "gamma": 0.5 - 1j,
-                                                   "sources": complex_data}),
-        "hand_tags_real": ("laplace", "neumann", lap, {"sources": Sources(flux_jump_height=2.0)}),
+        "w1_flux_jump": (w1, {"sources": Sources(flux_jump_height=2.0)}),
+        "laplace_real_data": (w1, {"sources": Sources(
+            top_forcing=0.5 * rng.normal(size=nx), flux_jump_height=2.0)}),
+        "helmholtz_robin_seam": (helm, {"gamma": 1 + 1j, "sources": complex_data}),
+        "hand_tags": (helm, {"gamma": 0.5 - 1j, "sources": complex_data}),
+        "hand_tags_real": (w1, {"sources": Sources(flux_jump_height=2.0)}),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["w1_flux_jump", "laplace_real_data", "helmholtz_robin_seam",
                                   "hand_tags", "hand_tags_real"])
 def test_csr_equals_coo_reference(name):
-    grid, tags, (kind, bottom, dtn, kw) = _oracle_case(name)
-    system = assemble(grid, tags, kind, bottom, dtn, **kw)
-    ref, rhs = _coo_reference(grid, tags, kind, bottom, dtn, system.rhs.dtype, **kw)
+    grid, tags, (dtn, kw) = _oracle_case(name)
+    system = assemble(grid, tags, dtn, **kw)
+    ref, rhs = _coo_reference(grid, tags, dtn, system.rhs.dtype, **kw)
     got = system.local
     assert (tags == NodeClass.PARTICLE_DIRICHLET)[:, [0, -1]].any(axis=0).all()  # seam reached
     assert got.has_canonical_format and ref.has_canonical_format
@@ -315,12 +307,10 @@ def test_assembly_memory_is_linear_in_the_output():
     centers = np.column_stack([np.linspace(-30.0, 30.0, 10), np.full(10, 30.0)])
     tags = classify_nodes(grid, ParticleConfiguration(centers, layer, seed=0))
     k, k1 = 1.0, math.sin(0.7)
-    dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
     forcing = Sources(top_forcing=np.ones(grid.nx, dtype=complex))
     tracemalloc.start()
     try:
-        system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j,
-                          sources=forcing)
+        system = assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j, sources=forcing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -232,7 +232,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  {"n_samples": float("inf")}, {"grid": {"target_dx": float("nan")}},
                  {"grid": {"target_dx": float("inf")}},
                  {"grid": {"nodes_per_diameter": float("inf")}}, {"grid": {"dtn_gap": float("nan")}},
-                 {"epsilon_list": [0.2, float("nan")]}, {"epsilon_list": [float("inf"), 0.1]}):
+                 {"epsilon_list": [0.2, float("nan")]}, {"epsilon_list": [float("inf"), 0.1]},
+                 {"wave": {"k": float("nan")}, "epsilon_list": [0.8, 0.4, 0.2]},
+                 {"wave": {"theta": float("nan")}}, {"gamma": {"re": float("nan"), "im": 1.0}},
+                 {"gamma": {"im": float("inf")}}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
     # the modal closure keeps every mode, so its former truncation knob is unknown

@@ -8,6 +8,7 @@ from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec, NodeCl
                        build_grid, classify_nodes, dtn_apply, quasi_mode,
                        sample_matern)
 from helmlayer.geometry import lateral_delta
+from helmlayer.grid import dtn_multipliers
 
 
 def test_build_grid_interface_on_line():
@@ -118,10 +119,10 @@ def test_classify_rejects_disk_outside_vertical_extent():
 
 def test_dtn_spectral_action_laplace():
     width, nx = 10.0, 64
-    spec = DtnSpec(kind="laplace_periodic")
+    spec = DtnSpec()  # k = 0: the W1 closure
     for m in (0, 1, 2, nx // 2 - 1):
         phi = quasi_mode(width, nx, m)
-        lam = 2.0 * abs(m) * math.pi / width
+        lam = -2.0 * abs(m) * math.pi / width
         err = np.abs(dtn_apply(spec, width, phi) - lam * phi).max()
         assert err < 1e-10
 
@@ -130,7 +131,7 @@ def test_dtn_spectral_action_helmholtz():
     # width chosen so m = 0, 1, 2 are all propagating; the highest mode
     # nx // 2 - 1 is evanescent
     width, nx, k, k1 = 20.0, 64, 1.0, 0.3
-    spec = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
+    spec = DtnSpec(k=k, k1=k1)
     for m in (0, 1, 2, nx // 2 - 1):
         phi = quasi_mode(width, nx, m, k1=k1)
         zeta = 2.0 * math.pi * m / width + k1
@@ -143,7 +144,7 @@ def test_dtn_spectral_action_helmholtz():
 def test_dtn_evanescent_modes_decay():
     # beyond the propagating band the multiplier must be negative real
     width, nx, k, k1 = 20.0, 64, 1.0, 0.3
-    spec = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k1)
+    spec = DtnSpec(k=k, k1=k1)
     m = 6
     zeta = 2.0 * math.pi * m / width + k1
     assert zeta > k
@@ -154,9 +155,27 @@ def test_dtn_evanescent_modes_decay():
     assert abs(sigma.imag) < 1e-12
 
 
-def test_laplace_closure_rejects_quasi_momentum():
-    # the periodic Laplace map has no phase, so a k1 there would contradict
-    # the seam phase exp(i k1 width) that assembly reads from the same spec
-    with pytest.raises(InvalidDtnSpec, match="quasi-momentum"):
-        DtnSpec(kind="laplace_periodic", k1=0.3)
-    DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3)
+def test_closure_rejects_negative_or_non_finite_wavenumbers():
+    for k in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(InvalidDtnSpec, match="finite k >= 0"):
+            DtnSpec(k=k)
+    for k1 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDtnSpec, match="finite k1"):
+            DtnSpec(k=1.0, k1=k1)
+    # k = 0 with a quasi-momentum is the quasi-periodic Laplace map
+    DtnSpec(k1=0.3)
+    DtnSpec(k=1.0, k1=-0.3)
+
+
+def test_static_multipliers_are_minus_two_abs_m_pi_over_width_bitwise():
+    # the k = 0 closure is the former periodic Laplace map, negated bit for bit:
+    # sqrt(zeta^2) is |zeta| exactly, and 2 pi m / width rounds as 2 |m| pi / width
+    # (== on finite floats is bit equality, up to the sign of the m = 0 zero)
+    for width in np.concatenate([np.linspace(2.2, 60.0, 37), [99.9, 130.0, 400.0, 2000.0]]):
+        for nx in (4, 5, 49, 50, 100, 331, 2000, 2001):
+            m = np.arange(nx)
+            m[m > nx // 2] -= nx
+            expected = -(2.0 * np.abs(m) * np.pi / width)
+            lam = dtn_multipliers(DtnSpec(), width, nx)
+            assert not lam.imag.any()
+            assert np.array_equal(lam.real, expected)

@@ -24,18 +24,22 @@ def test_plane_wave_invariants():
     assert WAVE.k1 == pytest.approx(math.sin(math.pi / 4.0))
     assert WAVE.k2 == pytest.approx(math.cos(math.pi / 4.0))
     assert WAVE.k1 ** 2 + WAVE.k2 ** 2 == pytest.approx(WAVE.k ** 2)
-    with pytest.raises(ValueError):
-        PlaneWave(k=0.0, theta=0.1)
-    with pytest.raises(ValueError):
-        PlaneWave(k=1.0, theta=math.pi / 2.0)
+    for k in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PlaneWave(k=k, theta=0.1)
+    for theta in (math.pi / 2.0, math.nan):
+        with pytest.raises(ValueError):
+            PlaneWave(k=1.0, theta=theta)
 
 
 def test_scene_requires_absorbing_gamma():
     layer = LayerSpec(h=5.0, delta=0.05, width=10.0)
     empty = sample_matern(PointProcessParams(rho=0.0), layer, 0)
-    with pytest.raises(ValueError):
-        ScatteringScene(epsilon=0.05, H=7.0, layer=layer, gamma=-1.0 + 1.0j,
-                        period=5.0, L=1.0, config=empty)
+    for gamma in (-1.0 + 1.0j, complex(math.nan, 1.0), complex(1.0, math.nan),
+                  complex(math.inf, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            ScatteringScene(epsilon=0.05, H=7.0, layer=layer, gamma=gamma,
+                            period=5.0, L=1.0, config=empty)
 
 
 def test_extract_reflection_of_incident_is_zero():

@@ -25,14 +25,13 @@ def _identity_system():
     rng = np.random.default_rng(0)
     rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
     return DiscreteSystem(local=sp.identity(n, dtype=complex, format="csr"),
-                          rhs=rhs, grid=grid, tags=tags, dtn=DtnSpec(kind="laplace_periodic"))
+                          rhs=rhs, grid=grid, tags=tags, dtn=DtnSpec())
 
 
 def _w1_system(config, width=20.0):
     grid = build_grid(width, 12.0, 0.2, interface_heights=(7.0,))
     tags = classify_nodes(grid, config)
-    return assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"),
-                    sources=Sources(flux_jump_height=7.0))
+    return assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=7.0))
 
 
 def test_identity_rows_solution_equals_rhs():
@@ -82,10 +81,10 @@ def test_symmetric_ordering_cuts_fill(small_realization):
     assert solver._factorize(matrix).nnz <= 0.7 * spla.splu(matrix).nnz
 
 
-def _nx20_system(problem_kind, dtn):
+def _nx20_system(dtn):
     grid = build_grid(4.0, 2.0, 0.2)
-    return assemble(grid, classify_nodes(grid, None), problem_kind, "robin", dtn, k=1.0,
-                    gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+    return assemble(grid, classify_nodes(grid, None), dtn, gamma=1 + 1j,
+                    sources=Sources(top_forcing=np.ones(grid.nx)))
 
 
 def _first_row_above_particles(system):
@@ -107,8 +106,8 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     cases = [  # nx 20 unless noted
-        _nx20_system("helmholtz", DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3)),
-        _nx20_system("laplace", DtnSpec(kind="laplace_periodic")),
+        _nx20_system(DtnSpec(k=1.0, k1=0.3)),
+        _nx20_system(DtnSpec(k1=0.3)),  # k = 0: quasi-periodic Laplace, no constant kernel
         _w1_system(small_realization),  # nx 100
     ]
     band = 2 * solver.CUT_HALF_WIDTH + 1
@@ -132,9 +131,8 @@ def test_wide_cut_row_builds_no_dense_block():
     # nx 2000 and no particles: rows 0..2 are factored, and the set-up peaks
     # at about 3.5 MB, under half of one float64 nx x nx array
     grid = build_grid(400.0, 2.0, 0.2)
-    system = assemble(grid, classify_nodes(grid, None), "helmholtz", "robin",
-                      DtnSpec(kind="helmholtz_quasiperiodic", k=1.0, k1=0.3),
-                      k=1.0, gamma=1 + 1j, sources=Sources(top_forcing=np.ones(grid.nx)))
+    system = assemble(grid, classify_nodes(grid, None), DtnSpec(k=1.0, k1=0.3), gamma=1 + 1j,
+                      sources=Sources(top_forcing=np.ones(grid.nx)))
     nx = grid.nx
     assert nx >= solver.INTERFACE_NX
     tracemalloc.start()
@@ -182,8 +180,7 @@ def _seed1_w1_system():
                           process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
     grid = cfg.cell_grid()
     tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, 1, stream=0))
-    return assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"),
-                    sources=Sources(flux_jump_height=grid.snaps[0].snapped))
+    return assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=grid.snaps[0].snapped))
 
 
 def _reference_system(process, dx):
@@ -277,24 +274,22 @@ def test_wide_cell_c1_is_bit_identical_across_threads():
     assert (a.mean, a.std_err, a.history) == (b.mean, b.std_err, b.history)
 
 
-def _one_particle_system(problem_kind):
+def _one_particle_system(real):
     layer = LayerSpec(h=3.0, delta=0.05, width=4.0)
     config = ParticleConfiguration(np.array([[0.3, 1.5]]), layer, seed=0)
     grid = build_grid(4.0, 4.0, 0.2)
     tags = classify_nodes(grid, config)
-    if problem_kind == "laplace":
-        system = assemble(grid, tags, "laplace", "neumann", DtnSpec(kind="laplace_periodic"))
+    if real:
+        system = assemble(grid, tags, DtnSpec())
     else:
-        k = 1.0
-        dtn = DtnSpec(kind="helmholtz_quasiperiodic", k=k, k1=k * math.sin(math.pi / 4.0))
-        system = assemble(grid, tags, "helmholtz", "robin", dtn, k=k, gamma=1 + 1j)
+        system = assemble(grid, tags, DtnSpec(k=1.0, k1=math.sin(math.pi / 4.0)), gamma=1 + 1j)
     rhs = np.random.default_rng(2).normal(size=system.n).astype(system.rhs.dtype)
     return dataclasses.replace(system, rhs=rhs)
 
 
-@pytest.mark.parametrize("problem_kind", ["laplace", "helmholtz"], ids=["real", "phased"])
-def test_cut_block_is_the_schur_complement_of_the_strip(problem_kind):
-    system = _one_particle_system(problem_kind)
+@pytest.mark.parametrize("real", [True, False], ids=["real", "phased"])
+def test_cut_block_is_the_schur_complement_of_the_strip(real):
+    system = _one_particle_system(real)
     cut = solver._Cut(system)
     n, nx = cut.n, system.grid.nx
     assert 2 < cut.j0 < system.grid.ny - 3
@@ -323,7 +318,7 @@ def test_zero_strip_denominator_raises_singular(small_realization, monkeypatch):
 
     def cancelling(spec, width, nx):
         lam = dtn_multipliers(spec, width, nx)
-        lam[0] = -(1.5 / dy - 0.5 / dy)
+        lam[0] = 1.5 / dy - 0.5 / dy
         return lam
 
     monkeypatch.setattr(grid_module, "dtn_multipliers", cancelling)
