@@ -9,21 +9,24 @@ identity rows on particle nodes, and top rows -du/dy + Lambda u = g with
 the modal map Lambda on every lateral mode coupling the whole top line.
 `assemble` writes the CSR arrays of the sparse part in place: per-row entry
 counts give indptr, and every stencil slot goes straight to its final,
-column-sorted position.
+column-sorted position. It also records the particle-free strip it wrote
+(`Strip`): the cut row j0 above the highest particle row and the
+coefficients of the uniform rows j0..ny-1, which the solver eliminates mode
+by mode.
 Memory is O(nnz) with no triplet lists: the traced peak is about 1.4 times
 the returned matrix and rhs (1.6 times for a W1 cell). The quasi-momentum
 alpha (seam phase and modal map alike) is the closure's DtnSpec.k1. The
 modal term is kept out of the sparse "local" matrix. The exact operator
 (matvec, residual) applies it through lateral FFTs (grid.dtn_apply). The
-solver keeps rows up to the cut row above the particles and eliminates the
-particle-free strip above them mode by mode, so the closure reaches the
-reduced system only as a phased circulant on the cut row (on the top row
-itself when the strip is empty). `with_circulant` adds such a circulant to a
-sparse matrix, kept on a band of its wrapped offsets: the solver keeps a
-narrow band in its factor (the whole circulant on narrow rows), and
-`materialize` the whole modal map on the top rows. `bordered` adds one
-auxiliary unknown per nonzero multiplier instead, coupled through the phased
-DFT of the top trace; the solver uses neither explicit form.
+solver keeps rows up to the cut row j0 and eliminates the strip above it,
+so the closure reaches the reduced system only as a phased circulant on the
+cut row (on the top row itself when there is no strip). `with_circulant`
+adds such a circulant to a sparse matrix, kept on a band of its wrapped
+offsets: the solver keeps a narrow band in its factor (the whole circulant
+on narrow rows), and `materialize` the whole modal map on the top rows.
+`bordered` adds one auxiliary unknown per nonzero multiplier instead,
+coupled through the phased DFT of the top trace; the solver uses neither
+explicit form.
 
 A problem with k = 0, k1 = 0 and real top forcing (the W1 corrector) is
 real: no i k gamma Robin term, no seam phase, and real multipliers even in
@@ -42,7 +45,7 @@ factorisation (solver) about 0.15 s and 10 MB more for scipy.sparse.linalg.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -65,15 +68,40 @@ class Sources:
     top_forcing: np.ndarray | None = None
 
 
+class Strip(NamedTuple):
+    """The particle-free strip as `assemble` wrote it, in the operator's dtype.
+
+    Rows j0..ny-2 are the five-point row b, lat, c, lat, b (down, left,
+    centre, right, up; the seam entries carry exp(-+i k1 width)), and the top
+    row is the one-sided t2, t1, t0 on rows ny-3..ny-1. j0 is the row above
+    the highest row holding a particle node, never below 2, so no row under
+    it reaches above it.
+    """
+
+    j0: int
+    c: float | complex
+    lat: float | complex
+    b: float | complex
+    t0: float | complex
+    t1: float | complex
+    t2: float | complex
+
+
 @dataclass
 class DiscreteSystem:
-    """Assembled sparse operator plus the modal top coupling (quasi-momentum dtn.k1)."""
+    """Assembled sparse operator plus the modal top coupling (quasi-momentum dtn.k1).
+
+    strip : the uniform rows above the particles, or None when fewer than two
+        lie under the top (a Dirichlet node on the top row, or ny-1 < 4); a
+        system built by hand has none, and the solver keeps every row.
+    """
 
     local: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid
     tags: np.ndarray
     dtn: DtnSpec
+    strip: Strip | None = None
 
     @property
     def real(self) -> bool:
@@ -256,7 +284,15 @@ def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g
 
+    # the strip: no particle node from row j0 up, and two rows or more under the top
+    rows = np.flatnonzero(dirichlet.reshape(ny, nx).any(axis=1))
+    j0 = max(2, int(rows[-1]) + 1) if len(rows) else 2
+    strip = None
+    if j0 <= ny - 3:
+        strip = Strip(j0, *(dtype(v) for v in (center, -1.0 / dx2, -1.0 / dy2, -1.5 / grid.dy,
+                                                2.0 / grid.dy, -0.5 / grid.dy)))
+
     import scipy.sparse as sp
 
     local = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn)
+    return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn, strip=strip)

@@ -121,6 +121,8 @@ class ExperimentConfig:
         for key, value in settings.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, not {value!r}")
+        if not eps:
+            raise ConfigError("epsilon_list must not be empty")
         if not all(math.isfinite(e) for e in eps):
             raise ConfigError("epsilon_list entries must be finite")
         if any(e <= 0 for e in eps):
@@ -232,9 +234,9 @@ def obtain_c1(config: ExperimentConfig, threads: int = 1,
     if cache_path.exists() and not recompute:
         try:
             cached = json.loads(cache_path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # also a file that is not UTF-8
             cached = None
-        if cached and cached.get("key") == key:
+        if isinstance(cached, dict) and cached.get("key") == key:
             return float(cached["mean"]), cached
     est = estimate_c1(config.corrector_config(), n_c1, config.master_seed, threads=threads)
     record = {"key": key, "mean": est.mean, "std_err": est.std_err,

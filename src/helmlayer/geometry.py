@@ -59,6 +59,9 @@ class LayerSpec:
     width: float = 50.0
 
     def __post_init__(self) -> None:
+        for name in ("h", "delta", "width"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidLayer(f"layer {name}={getattr(self, name)} must be finite")
         if not self.h > 2.0:
             raise InvalidLayer(f"layer height h={self.h} must exceed 2 (unit-radius particles)")
         if self.delta < 0.0:

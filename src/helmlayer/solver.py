@@ -9,18 +9,20 @@ Only the particle band is factored. Above the particles every row of the
 assembled operator is the same five-point stencil across the grid, and the
 top row's one-sided stencil plus the modal map is diagonal in the lateral
 modes, so in each mode m the particle-free strip is a scalar three-term
-recurrence. The cut row j0 is the lowest row (never below 2, so the
-one-sided bottom row stays out of the strip) from which every row below the
-top is that one stencil; its coefficients are read from the sparse operator
-itself and checked row by row, so the cut is exact for whatever matrix the
-system holds. A backward sweep over the strip rows, vectorised over the
-modes, eliminates them as v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0 then carries
-the phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical coupling) and
-its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are solved. A forward
-sweep rebuilds the strip, so callers always get the full field. When fewer
-than two such rows lie under the top (or the rows above the particles are
-not one stencil) the strip is empty and the circulant on the top row is the
-modal map itself: the same reduced system, with no sweep.
+recurrence. The cut row j0 and the strip's coefficients come from
+`assemble`, which wrote those rows (DiscreteSystem.strip): j0 is the row
+above the highest particle row, never below 2, so the one-sided bottom row
+stays out of the strip. A backward sweep over the strip rows, vectorised
+over the modes, eliminates them as v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0
+then carries the phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical
+coupling) and its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are
+solved. A forward
+sweep rebuilds the strip, so callers always get the full field. A system
+with no strip (fewer than two such rows under the top, or a system built by
+hand) keeps every row, and the circulant on the top row is the modal map
+itself: the same reduced system, with no sweep. A `local` edited after
+assembly no longer matches the strip; the refinement below, against the
+exact operator, then reaches TOL or raises, and never returns a wrong vector.
 
 Rows 0..j0 are solved in one form. SuperLU factors them with row j0's
 circulant kept on its wrapped offsets |o| <= w = CUT_HALF_WIDTH, a band of
@@ -110,67 +112,6 @@ class SolveReport:
     iterations: int
 
 
-def _run_start(ok: np.ndarray) -> int:
-    """Index where the trailing run of true entries of `ok` begins."""
-    bad = np.flatnonzero(~ok)
-    return int(bad[-1]) + 1 if len(bad) else 0
-
-
-def _strip_stencil(system: DiscreteSystem, a: sp.csr_matrix) -> tuple[int, tuple | None]:
-    """Cut row j0 and the strip coefficients (c, lat, b, t0, t1, t2) of `a`.
-
-    Every row from j0 to ny-2 must be the five-point row b, lat, c, lat, b
-    (down, left, centre, right, up; the seam entries carry the closure's
-    phase exp(-+i k1 width)), the top row the one-sided t2, t1, t0 on rows
-    ny-3..ny-1, and no row below j0 may reach above row j0. Returns
-    (ny-1, None), the empty strip, when fewer than two strip rows qualify.
-    """
-    grid = system.grid
-    nx, top = grid.nx, grid.ny - 1
-    ptr, idx, val = a.indptr, a.indices, a.data
-    empty = top, None
-    if top < 4:
-        return empty
-    i = np.arange(nx)
-    if np.any(np.diff(ptr[top * nx:]) != 3):
-        return empty
-    lo, hi = ptr[top * nx], ptr[top * nx + nx]
-    t_vals = val[lo:hi].reshape(nx, 3)
-    if (not np.array_equal(idx[lo:hi].reshape(nx, 3) - top * nx,
-                           np.stack([i - 2 * nx, i - nx, i], axis=1))
-            or np.any(t_vals != t_vals[0])):
-        return empty
-    t2, t1, t0 = t_vals[0]
-    # the run of five-entry lines j_run..ny-2 under the top, then the lines of
-    # that run which repeat line ny-2 exactly
-    five = (np.diff(ptr[2 * nx:top * nx + 1]).reshape(-1, nx) == 5).all(axis=1)
-    j_run = 2 + _run_start(five)
-    if j_run > top - 2:
-        return empty
-    lo, hi = ptr[j_run * nx], ptr[top * nx]
-    cols = idx[lo:hi].reshape(top - j_run, 5 * nx) - (nx * np.arange(j_run, top))[:, None]
-    vals = val[lo:hi].reshape(top - j_run, 5 * nx)
-    stencil = np.stack([i - nx, (i - 1) % nx, i, (i + 1) % nx, i + nx], axis=1)
-    order = np.argsort(stencil, axis=1)
-    if not np.array_equal(cols[-1], np.take_along_axis(stencil, order, axis=1).ravel()):
-        return empty
-    b, lat, c = vals[-1, 5:8]  # node 1 has no seam entry
-    expect = np.tile(np.array([b, lat, c, lat, b], dtype=complex), (nx, 1))
-    expect[0, 1] *= np.exp(-1j * system.dtn.k1 * grid.width)
-    expect[-1, 3] *= np.exp(1j * system.dtn.k1 * grid.width)
-    # to round-off: the seam entries are -exp(-+i k1 width)/dx^2, rounded
-    # differently from lat * exp(-+i k1 width)
-    if not np.allclose(vals[-1], np.take_along_axis(expect, order, axis=1).ravel(),
-                       rtol=1e-14, atol=0.0):
-        return empty
-    same = (cols == cols[-1]).all(axis=1) & (vals == vals[-1]).all(axis=1)
-    j0 = j_run + _run_start(same)
-    below = ptr[j0 * nx]
-    if j0 > top - 2 or (below and idx[:below].max() >= (j0 + 1) * nx):
-        return empty
-    return j0, (c, lat, b, t0, t1, t2)
-
-
 class _Cut:
     """Rows 0..j0 of a system, the strip of rows j0+1..ny-1 above them
     eliminated exactly, one lateral mode at a time.
@@ -182,22 +123,19 @@ class _Cut:
 
     def __init__(self, system: DiscreteSystem) -> None:
         grid = system.grid
-        # a matrix not in canonical CSR form fails the stencil check: no strip
-        a = system.local.tocsr()
-        self.local, self.nx = a, grid.nx
-        self.dtype = np.result_type(a.dtype, system.rhs.dtype)
+        self.local, self.nx = system.local.tocsr(), grid.nx
+        self.dtype = np.result_type(self.local.dtype, system.rhs.dtype)
         k1 = self.k1 = system.dtn.k1
         self.dx = grid.dx
         self.phase = np.exp(1j * k1 * grid.x_nodes()) if k1 != 0.0 else None
         lam = _grid.dtn_multipliers(system.dtn, grid.width, grid.nx)
         if system.real:
             lam = lam.real
-        self.j0, coef = _strip_stencil(system, a)
         self.p = None
-        if coef is None:
-            self.symbol = lam
+        if system.strip is None:
+            self.j0, self.symbol = grid.ny - 1, lam
             return
-        c, lat, self.b, t0, t1, self.t2 = coef
+        self.j0, c, lat, self.b, t0, t1, self.t2 = system.strip
         zeta = 2.0 * np.pi * np.arange(grid.nx) / grid.width + k1
         d = c + 2.0 * lat * np.cos(zeta * grid.dx)
         n_strip = grid.ny - 1 - self.j0

@@ -183,6 +183,13 @@ def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
     cache.write_text(json.dumps(dict(record, key=old_key, mean=mean - 0.1)))
     assert obtain_c1(config) == (mean, record)
     assert len(estimates) == 3 and json.loads(cache.read_text()) == record
+    # valid JSON that is not an object, and a file that is not UTF-8, are
+    # unreadable caches: recomputed and rewritten
+    for text in (b"[1]", b"\xff"):
+        cache.write_bytes(text)
+        assert obtain_c1(config) == (mean, record)
+        assert json.loads(cache.read_text()) == record
+    assert len(estimates) == 5
 
 
 def test_validate_suite_passes():
@@ -235,9 +242,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  {"epsilon_list": [0.2, float("nan")]}, {"epsilon_list": [float("inf"), 0.1]},
                  {"wave": {"k": float("nan")}, "epsilon_list": [0.8, 0.4, 0.2]},
                  {"wave": {"theta": float("nan")}}, {"gamma": {"re": float("nan"), "im": 1.0}},
-                 {"gamma": {"im": float("inf")}}):
+                 {"gamma": {"im": float("inf")}}, {"geometry": {"width": float("inf")}},
+                 {"geometry": {"h": float("inf")}}, {"geometry": {"delta": float("nan")}}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
+    # a non-finite layer field is named in the message
+    bad.write_text(json.dumps({"geometry": {"delta": float("nan")}}))
+    capsys.readouterr()
+    assert main(["--config", str(bad), "reference"]) == 3
+    assert "delta=nan must be finite" in capsys.readouterr().err
+    # an empty epsilon list leaves the reference solve no scale
+    bad.write_text(json.dumps({"epsilon_list": []}))
+    assert main(["--config", str(bad), "reference"]) == 3
     # the modal closure keeps every mode, so its former truncation knob is unknown
     bad.write_text(json.dumps({"grid": {"dtn_eta": 1e-6}}))
     capsys.readouterr()

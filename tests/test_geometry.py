@@ -43,6 +43,10 @@ def test_layer_invariants():
         LayerSpec(delta=-0.1)
     with pytest.raises(InvalidLayer):
         LayerSpec(width=2.0)
+    for name in ("h", "delta", "width"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(InvalidLayer, match=f"layer {name}=.* must be finite"):
+                LayerSpec(**{name: value})
     layer = LayerSpec(h=5.0, delta=0.05, width=20.0)
     assert layer.center_band == (1.05, 4.0)
     assert layer.hardcore_distance == 2.05

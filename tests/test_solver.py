@@ -154,19 +154,26 @@ def test_cut_row_is_the_first_row_above_the_particles(small_realization, empty_r
     assert (system.tags[j0 - 1] == NodeClass.PARTICLE_DIRICHLET).any()
 
 
-@pytest.mark.parametrize("j_edit, j0", [(30, 31), (58, 60)])  # ny 61
-def test_non_uniform_rows_shorten_the_strip(small_realization, j_edit, j0):
-    # a row above the particles whose stencil differs is kept in the factor;
-    # a single uniform row left under the top leaves no strip at all
+@pytest.mark.parametrize("j_edit", [30, 58])  # strip rows, ny 61
+@pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.5], ids=["round-off", "gross"])
+def test_edited_strip_row_refines_or_raises(small_realization, j_edit, factor):
+    # a strip row edited after assembly under the stale record: the reduced
+    # solve is then only an approximate inverse, and refinement against the
+    # exact operator reaches TOL or raises, never returning a wrong vector
     system = _w1_system(small_realization)
-    assert system.grid.ny == 61 and solver._Cut(system).j0 < j_edit
+    assert system.grid.ny == 61 and system.strip.j0 < j_edit
     node = j_edit * system.grid.nx + 3
     local = system.local.tolil()
-    local[node, node] *= 1.0 + 1e-12
+    local[node, node] *= factor
     system.local = local.tocsr()
-    assert solver._Cut(system).j0 == j0
-    _, report = solve(system)
+    if factor > 1.1:
+        with pytest.raises(NoConvergence):
+            solve(system)
+        return
+    x, report = solve(system)
     assert report.residual <= solver.TOL
+    x_full = solver._factorize(system.materialize()).solve(system.rhs)
+    assert np.linalg.norm(x - x_full) <= 1e-10 * np.linalg.norm(x_full)
 
 
 def test_no_strip_under_a_non_stencil_top():
@@ -175,11 +182,11 @@ def test_no_strip_under_a_non_stencil_top():
     assert cut.j0 == system.grid.ny - 1 and cut.n == system.n
 
 
-def _seed1_w1_system():
-    cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=20.0),
+def _matern_w1_system(seed=1, width=20.0):
+    cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=width),
                           process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
     grid = cfg.cell_grid()
-    tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, 1, stream=0))
+    tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, seed, stream=0))
     return assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=grid.snaps[0].snapped))
 
 
@@ -199,9 +206,61 @@ def _reference_system(process, dx):
     return systems[0]
 
 
+def _assert_strip_record(system):
+    """The strip record against the assembled rows it describes: the checks a
+    matrix-reading detection of the strip would make."""
+    grid, strip, a = system.grid, system.strip, system.local
+    nx, top, j0 = grid.nx, grid.ny - 1, strip.j0
+    assert all(np.asarray(v).dtype == a.dtype for v in strip[1:])
+    assert j0 == 2 or (system.tags[j0 - 1] == NodeClass.PARTICLE_DIRICHLET).any()
+    i = np.arange(nx)
+    rows = a[top * nx:]
+    assert (np.diff(rows.indptr) == 3).all()
+    assert np.array_equal(rows.indices.reshape(nx, 3) - top * nx,
+                          np.stack([i - 2 * nx, i - nx, i], axis=1))
+    assert (rows.data.reshape(nx, 3) == [strip.t2, strip.t1, strip.t0]).all()
+    # rows j0..ny-2: down, left, centre, right, up in column order, the seam
+    # entries phased by exp(-+i k1 width), to round-off
+    rows = a[j0 * nx:top * nx]
+    assert (np.diff(rows.indptr) == 5).all()
+    stencil = np.stack([i - nx, (i - 1) % nx, i, (i + 1) % nx, i + nx], axis=1)
+    order = np.argsort(stencil, axis=1)
+    want = np.tile(np.array([strip.b, strip.lat, strip.c, strip.lat, strip.b], dtype=complex),
+                   (nx, 1))
+    want[0, 1] *= np.exp(-1j * system.dtn.k1 * grid.width)
+    want[-1, 3] *= np.exp(1j * system.dtn.k1 * grid.width)
+    seam = np.zeros((nx, 5), dtype=bool)
+    seam[0, 1] = seam[-1, 3] = True
+    cols = rows.indices.reshape(top - j0, 5 * nx) - (nx * np.arange(j0, top))[:, None]
+    vals = rows.data.reshape(top - j0, 5 * nx)
+    want, seam = (np.take_along_axis(v, order, axis=1).ravel() for v in (want, seam))
+    assert (cols == np.take_along_axis(stencil, order, axis=1).ravel()).all()
+    assert (vals[:, ~seam] == want[~seam]).all()
+    assert np.allclose(vals[:, seam], want[seam], rtol=1e-14, atol=0.0)
+
+
+def test_strip_record_matches_the_assembled_rows(small_process, empty_realization):
+    # width 20.3: nx 102, so dx differs from dy
+    systems = [_matern_w1_system(seed, width) for width, seeds in ((20.0, (1, 2, 3, 4)),
+                                                                   (130.0, (1, 2)), (20.3, (1,)))
+               for seed in seeds]
+    assert systems[-1].grid.dx != systems[-1].grid.dy
+    systems.append(_reference_system(small_process, 0.1))
+    assert systems[-1].dtn.k1 != 0.0
+    for system in systems:
+        assert 2 < system.strip.j0 < system.grid.ny - 3
+        _assert_strip_record(system)
+    empty = _w1_system(empty_realization)
+    assert empty.strip.j0 == 2
+    _assert_strip_record(empty)
+    # too few rows under the top for a strip
+    grid = build_grid(4.0, 0.6, 0.2)
+    assert assemble(grid, classify_nodes(grid, None), DtnSpec(k=1.0)).strip is None
+
+
 def test_reduced_solve_matches_the_full_factor(small_process):
     # seed-1 W1 cell, and a quasi-periodic Robin Helmholtz system with particles
-    for system in (_seed1_w1_system(), _reference_system(small_process, 0.1)):
+    for system in (_matern_w1_system(), _reference_system(small_process, 0.1)):
         assert solver._Cut(system).j0 < system.grid.ny - 3
         x, _ = solve(system)
         full = system.materialize().astype(system.rhs.dtype)
@@ -235,13 +294,9 @@ def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
 
 
 def test_interface_form_solves_a_zero_strip():
-    # a row just under the top that differs from the stencil: row j0 is the top row
-    system = _wide_w1_system()
+    # a system with no strip record: row j0 is the top row
+    system = dataclasses.replace(_wide_w1_system(), strip=None)
     assert system.grid.nx >= solver.INTERFACE_NX
-    node = (system.grid.ny - 2) * system.grid.nx + 3
-    local = system.local.tolil()
-    local[node, node] *= 1.0 + 1e-12
-    system.local = local.tocsr()
     assert solver._Cut(system).j0 == system.grid.ny - 1
     x, report = solve(system)
     assert report.residual <= solver.TOL
