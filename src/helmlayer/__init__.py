@@ -15,17 +15,14 @@ from .errors import (ConfigError, DegenerateFit, EmptyConfiguration, FactorTooLa
                      ResolutionTooCoarse, ShapeMismatch, SingularSystem,
                      UnsnappedInterface)
 from .geometry import (LayerSpec, ParticleConfiguration, PointProcessParams,
-                       birkhoff_average, check_hypotheses, distance_field,
-                       sample_matern, substream, weight_mu)
-from .grid import (DtnSpec, Grid, NodeClass, build_grid, classify_nodes, dtn_apply,
-                   quasi_mode)
+                       check_hypotheses, distance_field, sample_matern, substream)
+from .grid import DtnSpec, Grid, build_grid, classify_nodes, dtn_apply, quasi_mode
 from .assemble import DiscreteSystem, Sources, assemble
 from .solver import SolveReport, solve
 from .corrector import (C1Estimate, CorrectorConfig, CorrectorSolution, decay_profile,
                         estimate_c1, solve_w1)
-from .scattering import (PlaneWave, ReflectionCoefficient, ScatteringScene,
-                         effective_reflection, extract_reflection,
-                         farfield_reflection, reference_solve,
+from .scattering import (PlaneWave, ScatteringScene, effective_reflection,
+                         extract_reflection, farfield_reflection, reference_solve,
                          robin_halfspace_reflection)
 from .experiments import (ExperimentConfig, SweepReport, fit_rate, run_c1_study,
                           run_sweep, run_validate)

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatch, UnsnappedInterface
-from .grid import DtnSpec, Grid, NodeClass, circulant_offsets, dtn_apply, dtn_multipliers
+from .grid import DtnSpec, Grid, circulant_offsets, dtn_apply, dtn_multipliers
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -99,7 +99,6 @@ class DiscreteSystem:
     local: sp.csr_matrix
     rhs: np.ndarray
     grid: Grid
-    tags: np.ndarray
     dtn: DtnSpec
     strip: Strip | None = None
 
@@ -199,9 +198,12 @@ def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float
         (vals.ravel(), (n - nx + rows).ravel().astype(np.int32), indptr), shape=(n, n))
 
 
-def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
+def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
              sources: Sources | None = None) -> DiscreteSystem:
     """Assemble the discrete Helmholtz system with wavenumber dtn.k >= 0.
+
+    mask : the (ny, nx) particle mask of `grid.classify_nodes`; its nodes are
+        Dirichlet nodes.
 
     dtn : top-line modal closure; the top rows are -du/dy + Lambda u = g
         (outgoing convention). Its k puts -k^2 on the interior diagonal and
@@ -211,8 +213,8 @@ def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
     Operator and rhs are float64 when k = 0, k1 = 0 and the top forcing is
     real, and complex128 otherwise.
     """
-    if tags.shape != (grid.ny, grid.nx):
-        raise ShapeMismatch("tag array does not match the grid")
+    if mask.shape != (grid.ny, grid.nx):
+        raise ShapeMismatch("particle mask does not match the grid")
     sources = sources or Sources()
     k = dtn.k
     real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(sources.top_forcing)
@@ -221,7 +223,7 @@ def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
     wrap_plus = np.exp(1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
     wrap_minus = np.exp(-1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
-    dirichlet = tags.ravel() == NodeClass.PARTICLE_DIRICHLET
+    dirichlet = mask.ravel()
 
     # entries per row: 5 on a free interior node, 3 on a free bottom node and on every
     # top node (a particle there adds its identity to the centre), else 1 (the identity)
@@ -285,7 +287,7 @@ def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
         rhs[t_idx] = g
 
     # the strip: no particle node from row j0 up, and two rows or more under the top
-    rows = np.flatnonzero(dirichlet.reshape(ny, nx).any(axis=1))
+    rows = np.flatnonzero(mask.any(axis=1))
     j0 = max(2, int(rows[-1]) + 1) if len(rows) else 2
     strip = None
     if j0 <= ny - 3:
@@ -295,4 +297,4 @@ def assemble(grid: Grid, tags: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
     import scipy.sparse as sp
 
     local = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return DiscreteSystem(local=local, rhs=rhs, grid=grid, tags=tags, dtn=dtn, strip=strip)
+    return DiscreteSystem(local=local, rhs=rhs, grid=grid, dtn=dtn, strip=strip)

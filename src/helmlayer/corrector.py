@@ -18,7 +18,7 @@ import numpy as np
 from .assemble import Sources, assemble
 from .errors import NoConvergence, NumericalFailure, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
-from .grid import DtnSpec, Grid, NodeClass, build_grid, classify_nodes
+from .grid import DtnSpec, Grid, build_grid, classify_nodes
 from .solver import SolveReport, solve
 
 
@@ -64,7 +64,7 @@ class CorrectorSolution:
     trace_mean: float
     flux_report: dict
     grid: Grid
-    tags: np.ndarray
+    mask: np.ndarray
     j_interface: int
     solve_report: SolveReport
 
@@ -96,7 +96,7 @@ class C1Estimate:
             raise ValueError("ci95 must contain the mean")
 
 
-def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid) -> dict:
+def _flux_balance(field: np.ndarray, mask: np.ndarray, grid: Grid) -> dict:
     """Exact discrete telescoping of the interior balance rows.
 
     injected (the unit jump over the cell width) = particle + bottom + top up
@@ -106,24 +106,23 @@ def _flux_balance(field: np.ndarray, tags: np.ndarray, grid: Grid) -> dict:
     """
     dy_dx = grid.dy / grid.dx
     dx_dy = grid.dx / grid.dy
-    dirich = tags == NodeClass.PARTICLE_DIRICHLET
-    free_int = ~dirich
+    free_int = ~mask
     free_int[0, :] = False
     free_int[-1, :] = False
     particle = 0.0
-    left = np.roll(dirich, 1, axis=1)
-    right = np.roll(dirich, -1, axis=1)
+    left = np.roll(mask, 1, axis=1)
+    right = np.roll(mask, -1, axis=1)
     particle += dy_dx * field[free_int & left].sum()
     particle += dy_dx * field[free_int & right].sum()
-    down = np.zeros_like(dirich)
-    down[1:, :] = dirich[:-1, :]
-    up = np.zeros_like(dirich)
-    up[:-1, :] = dirich[1:, :]
+    down = np.zeros_like(mask)
+    down[1:, :] = mask[:-1, :]
+    up = np.zeros_like(mask)
+    up[:-1, :] = mask[1:, :]
     particle += dx_dy * field[free_int & down].sum()
     particle += dx_dy * field[free_int & up].sum()
-    row1_free = ~dirich[1, :]
+    row1_free = ~mask[1, :]
     bottom = dx_dy * (field[1, row1_free] - field[0, row1_free]).sum()
-    rowt_free = ~dirich[-2, :]
+    rowt_free = ~mask[-2, :]
     top = dx_dy * (field[-2, rowt_free] - field[-1, rowt_free]).sum()
     injected = grid.width
     residual = float(injected - (particle + bottom + top))
@@ -149,14 +148,14 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     """
     grid = cfg.cell_grid()
     snap = grid.snaps[0]
-    tags = classify_nodes(grid, config, scale=1.0)
-    system = assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=snap.snapped))
+    mask = classify_nodes(grid, config, scale=1.0)
+    system = assemble(grid, mask, DtnSpec(), sources=Sources(flux_jump_height=snap.snapped))
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
-    fld[tags == NodeClass.PARTICLE_DIRICHLET] = 0.0
+    fld[mask] = 0.0
     return CorrectorSolution(field=fld, trace_mean=fld[-1].mean().item(),
-                             flux_report=_flux_balance(fld, tags, grid), grid=grid,
-                             tags=tags, j_interface=snap.j_index, solve_report=report)
+                             flux_report=_flux_balance(fld, mask, grid), grid=grid,
+                             mask=mask, j_interface=snap.j_index, solve_report=report)
 
 
 def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:

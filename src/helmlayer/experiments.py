@@ -129,6 +129,12 @@ class ExperimentConfig:
             raise ConfigError("epsilon_list entries must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("epsilon_list must be strictly decreasing")
+        try:
+            # the layer, and the widest window a sweep samples: width / smallest epsilon
+            for width in (layer.width, layer.width / eps[-1]):
+                process.intensity(dataclasses.replace(layer, width=width))
+        except HelmlayerError as exc:
+            raise ConfigError(str(exc)) from exc
         if n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if not 0 <= master_seed < 2 ** 64:
@@ -236,8 +242,10 @@ def obtain_c1(config: ExperimentConfig, threads: int = 1,
             cached = json.loads(cache_path.read_text())
         except (OSError, ValueError):  # also a file that is not UTF-8
             cached = None
-        if isinstance(cached, dict) and cached.get("key") == key:
-            return float(cached["mean"]), cached
+        mean = cached.get("mean") if isinstance(cached, dict) else None
+        # the cache writes a finite float mean; anything else is recomputed
+        if isinstance(mean, float) and math.isfinite(mean) and cached.get("key") == key:
+            return mean, cached
     est = estimate_c1(config.corrector_config(), n_c1, config.master_seed, threads=threads)
     record = {"key": key, "mean": est.mean, "std_err": est.std_err,
               "ci95": list(est.ci95)}
@@ -320,14 +328,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
     grids_used = {}
     for epsilon in config.epsilon_list:
         window, scene_of = _epsilon_window(config, epsilon)
-        r1 = effective_reflection(1, wave, epsilon, config.H).value
-        r2 = effective_reflection(2, wave, epsilon, config.H, c1).value
+        r1 = effective_reflection(1, wave, epsilon, config.H)
+        r2 = effective_reflection(2, wave, epsilon, config.H, c1)
 
         def one(j: int, _eps=epsilon, _scene_of=scene_of, _dx=window["dx"]):
             scene = _scene_of(j)
             try:
-                _, refl = reference_solve(scene, wave, _dx)
-                return ("ok", refl.value)
+                _, r = reference_solve(scene, wave, _dx)
+                return ("ok", r)
             except SAMPLE_FAILURES as exc:
                 return ("fail", f"eps={_eps:g} sample={j}: {exc}")
 
@@ -399,8 +407,8 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
         for dx in (2.0 * math.pi / 64.0, math.pi / 64.0):
             scene = ScatteringScene(epsilon=0.05, H=7.0, layer=layer, gamma=gamma,
                                     period=2.0 * math.pi, L=1.0, config=empty)
-            _, refl = reference_solve(scene, wave, dx)
-            errs.append(abs(refl.value - exact))
+            _, r = reference_solve(scene, wave, dx)
+            errs.append(abs(r - exact))
         factor = errs[0] / max(errs[1], 1e-300)
         ok = errs[0] <= 5e-3 and factor >= 3.0
         return ok, f"errors {errs[0]:.2e} -> {errs[1]:.2e} (factor {factor:.2f})"
@@ -422,7 +430,7 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
             wave = PlaneWave(k=rng.uniform(0.5, 3.0), theta=rng.uniform(-1.2, 1.2))
             r2 = effective_reflection(2, wave, rng.uniform(0.01, 0.5),
                                       rng.uniform(3.0, 10.0), rng.uniform(0.1, 5.0))
-            worst = max(worst, abs(abs(r2.value) - 1.0))
+            worst = max(worst, abs(abs(r2) - 1.0))
         return worst <= 1e-12, f"max | |r2| - 1 | = {worst:.2e}"
 
     def dtn_spectral():
@@ -457,8 +465,8 @@ def run_validate(config: ExperimentConfig) -> list[CheckResult]:
         c1 = 2.3
         pairs = []
         for eps in (0.1, 0.05, 0.025, 0.0125):
-            gap = abs(farfield_reflection(wave, eps, 7.0, c1).value
-                      - effective_reflection(2, wave, eps, 7.0, c1).value)
+            gap = abs(farfield_reflection(wave, eps, 7.0, c1)
+                      - effective_reflection(2, wave, eps, 7.0, c1))
             pairs.append((eps, gap))
         slope, _, _ = fit_rate(pairs)
         return abs(slope - 2.0) <= 0.1, f"slope {slope:.4f}"
@@ -506,10 +514,10 @@ def run_reference(config: ExperimentConfig) -> tuple[Path, complex]:
     epsilon = config.epsilon_list[0]
     window, scene_of = _epsilon_window(config, epsilon)
     scene = scene_of(0)
-    fld, refl = reference_solve(scene, config.wave, window["dx"])
+    fld, r_ref = reference_solve(scene, config.wave, window["dx"])
     path = out / f"field_eps{epsilon:g}.csv"
     export_field_csv(fld, scene.grid(window["dx"]), path)
     _write_json(_provenance(config, {"epsilon": epsilon,
-                                     "r_ref": [refl.value.real, refl.value.imag]}),
+                                     "r_ref": [r_ref.real, r_ref.imag]}),
                 out / "provenance.json")
-    return path, refl.value
+    return path, r_ref

@@ -21,13 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyConfiguration, InvalidLayer
 
 VALID_PROCESS_KINDS = ("matern2", "hardcore_poisson")
+# Largest Poisson parameter nu = rho * width * h / pi that a layer may have.
+# At h = 5 a draw peaks at 240-360 bytes per expected point (more in taller
+# layers, which give each point more lateral candidates), so about 360 MB at
+# the bound; the widest window of the benchmark draws about 1,300 points.
+MAX_EXPECTED_PARTICLES = 1_000_000
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -98,8 +103,13 @@ class PointProcessParams:
             raise InvalidLayer(f"density rho={self.rho} must lie in [0, 1)")
 
     def intensity(self, layer: LayerSpec) -> float:
-        """Poisson parameter nu = rho * width * h / pi for unit disks."""
-        return self.rho * layer.width * layer.h / math.pi
+        """Poisson parameter nu = rho * width * h / pi for unit disks; raises
+        InvalidLayer above MAX_EXPECTED_PARTICLES."""
+        nu = self.rho * layer.width * layer.h / math.pi
+        if not nu <= MAX_EXPECTED_PARTICLES:
+            raise InvalidLayer(f"expected particle count {nu:.3g} exceeds "
+                               f"{MAX_EXPECTED_PARTICLES:,} (rho * width * h / pi)")
+        return nu
 
 
 def lateral_delta(dx: np.ndarray | float, width: float) -> np.ndarray | float:
@@ -216,12 +226,6 @@ class ParticleConfiguration:
         i, j = sweep.pairs(math.sqrt(bound))
         return float(np.sqrt(_sq_distance(x[i], y[i], x[j], y[j], w).min()))
 
-    def translated(self, shift: float) -> "ParticleConfiguration":
-        """Configuration with every lateral coordinate shifted by `shift`."""
-        c = self.centers.copy()
-        c[:, 0] = c[:, 0] + shift
-        return ParticleConfiguration(c, self.layer, self.seed, self.stream)
-
     def to_csv(self, path) -> None:
         """Write centers as CSV rows `x_par,x_d` with a one-line header."""
         with open(path, "w", newline="\n") as fh:
@@ -318,23 +322,6 @@ def distance_field(config: ParticleConfiguration, y: Sequence[float]) -> float:
     return float(np.sqrt(d2[0]))
 
 
-def weight_mu(config: ParticleConfiguration, y: Sequence[float], m: float) -> float:
-    """Decay weight built from the nearest-center distance.
-
-    Equals R(y)^(-m) inside the slab (y_d <= h) and
-    (y_d^2 + R((y_par, h))^(2m))^(-1) above it. Requires m > 2d = 4; the two
-    branches do not match at y_d = h (documented discontinuity of the model).
-    """
-    if m <= 4.0:
-        raise ValueError(f"weight exponent m={m} must exceed 2d = 4")
-    y_par, y_d = float(y[0]), float(y[1])
-    if y_d <= config.layer.h:
-        r = distance_field(config, (y_par, y_d))
-        return r ** (-m)
-    r_top = distance_field(config, (y_par, config.layer.h))
-    return 1.0 / (y_d * y_d + r_top ** (2.0 * m))
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Empirical moment/maximum statistics of the nearest-center distance."""
@@ -376,28 +363,3 @@ def check_hypotheses(params: PointProcessParams, layer: LayerSpec, n_samples: in
             sum_rm[iy] += np.mean(r ** m)
             max_r[iy] = max(max_r[iy], r.max())
     return HypothesisReport(y_levels, sum_rm / n_samples, max_r, m, n_samples, unbounded)
-
-
-def birkhoff_average(configs: Iterable[ParticleConfiguration],
-                     observable: Callable[[ParticleConfiguration, np.ndarray], np.ndarray],
-                     window_widths: Sequence[float],
-                     probe_spacing: float = 0.25) -> list[tuple[float, float]]:
-    """Spatial window averages against the ensemble average.
-
-    `observable(config, x_probes)` must be a stationary per-point functional
-    returning one value per lateral probe. The ensemble average is estimated
-    from the observable at the cell origin across the stream; the table rows
-    are (width, mean |spatial average - ensemble average|).
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one configuration")
-    origin = np.zeros(1)
-    ensemble = float(np.mean([float(observable(c, origin)[0]) for c in configs]))
-    table: list[tuple[float, float]] = []
-    for w in window_widths:
-        n_probe = max(2, int(round(w / probe_spacing)))
-        probes = -w / 2.0 + w * (np.arange(n_probe) + 0.5) / n_probe
-        discrepancies = [abs(float(np.mean(observable(c, probes))) - ensemble) for c in configs]
-        table.append((float(w), float(np.mean(discrepancies))))
-    return table

@@ -12,19 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
-from .errors import InvalidDtnSpec, InvalidExtent, ParticleOutOfDomain
+from .errors import InvalidDtnSpec, InvalidExtent, ParticleOutOfDomain, UnsnappedInterface
 from .geometry import ParticleConfiguration, lateral_delta
-
-
-class NodeClass(IntEnum):
-    INTERIOR = 0
-    PARTICLE_DIRICHLET = 1
-    BOTTOM_BOUNDARY = 2
-    TOP_DTN = 3
 
 
 @dataclass(frozen=True)
@@ -74,8 +66,6 @@ class Grid:
         if not 0 <= j < self.ny:
             raise InvalidExtent(f"height {height} outside the grid")
         if abs(j * self.dy - height) > 1e-9 * max(1.0, abs(height)):
-            from .errors import UnsnappedInterface
-
             raise UnsnappedInterface(f"height {height} is not a grid line (dy={self.dy})")
         return j
 
@@ -109,17 +99,16 @@ def build_grid(width: float, top: float, target_dx: float,
 
 def classify_nodes(grid: Grid, config: ParticleConfiguration | None,
                    scale: float = 1.0) -> np.ndarray:
-    """Tag every node; nodes strictly inside a scaled disk become Dirichlet.
+    """Particle mask of shape (ny, nx): True on the nodes strictly inside a
+    scaled disk, which become Dirichlet nodes.
 
     The staircase rule uses the periodic lateral metric, so disks straddling
-    the seam tag nodes on both sides. Raises if any scaled disk is not
+    the seam mark nodes on both sides. Raises if any scaled disk is not
     strictly inside the vertical extent.
     """
-    tags = np.full((grid.ny, grid.nx), NodeClass.INTERIOR, dtype=np.int8)
-    tags[0, :] = NodeClass.BOTTOM_BOUNDARY
-    tags[-1, :] = NodeClass.TOP_DTN
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
     if config is None or config.is_empty:
-        return tags
+        return mask
     radius = scale
     centers = config.centers * scale
     if np.any(centers[:, 1] - radius <= 0.0) or np.any(centers[:, 1] + radius >= grid.top):
@@ -141,8 +130,8 @@ def classify_nodes(grid: Grid, config: ParticleConfiguration | None,
     dyp = j * grid.dy - cy
     inside = (dxp * dxp + dyp * dyp < r2) & (j <= j_hi) & (i <= i_hi)
     rows, cols = np.broadcast_arrays(j, np.mod(i, grid.nx))
-    tags[rows[inside], cols[inside]] = NodeClass.PARTICLE_DIRICHLET
-    return tags
+    mask[rows[inside], cols[inside]] = True
+    return mask
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ from .solver import solve
 PASSIVITY_SLACK = 1e-6
 MIN_NODES_PER_DIAMETER = 8
 
-REFLECTION_KINDS = ("reference", "order1", "order2", "farfield_sum")
-
 
 @dataclass(frozen=True)
 class PlaneWave:
@@ -48,20 +46,6 @@ class PlaneWave:
     @property
     def k2(self) -> float:
         return self.k * math.cos(self.theta)
-
-
-@dataclass(frozen=True)
-class ReflectionCoefficient:
-    value: complex
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in REFLECTION_KINDS:
-            raise ValueError(f"unknown reflection kind {self.kind!r}")
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +81,7 @@ class ScatteringScene:
 
 
 def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
-                       T: float) -> ReflectionCoefficient:
+                       T: float) -> complex:
     """Mode-matched specular reflection from the top-line trace.
 
     r = (exp(i k2 L)/T) * integral of (u - u_inc)(x, L) exp(-i k1 x) dx with
@@ -111,12 +95,11 @@ def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
     x = -T / 2.0 + dx * np.arange(nx)
     u_inc = np.exp(1j * (wave.k1 * x + wave.k2 * L))
     integral = np.sum((trace - u_inc) * np.exp(-1j * wave.k1 * x)) * dx
-    value = np.exp(1j * wave.k2 * L) / T * integral
-    return ReflectionCoefficient(complex(value), "reference")
+    return complex(np.exp(1j * wave.k2 * L) / T * integral)
 
 
 def reference_solve(scene: ScatteringScene, wave: PlaneWave,
-                    target_dx: float) -> tuple[np.ndarray, ReflectionCoefficient]:
+                    target_dx: float) -> tuple[np.ndarray, complex]:
     """Solve the reference problem and extract the reflection coefficient.
 
     Robin at the bottom with coefficient i k gamma, Dirichlet on the scaled
@@ -131,22 +114,22 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave,
             f"target_dx={target_dx} exceeds {min_dx} (8 nodes per particle diameter)"
         )
     grid = scene.grid(target_dx)
-    tags = classify_nodes(grid, scene.config, scale=scene.epsilon)
+    mask = classify_nodes(grid, scene.config, scale=scene.epsilon)
     dtn = DtnSpec(k=wave.k, k1=wave.k1)
     x = grid.x_nodes()
     inc_trace = np.exp(1j * (wave.k1 * x + wave.k2 * grid.top))
     forcing = -2j * wave.k2 * inc_trace
-    system = assemble(grid, tags, dtn, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
+    system = assemble(grid, mask, dtn, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
     sol, _ = solve(system)
     fld = sol.reshape(grid.ny, grid.nx)
-    refl = extract_reflection(fld[-1], wave, grid.top, scene.period)
-    if scene.gamma.real > 0 and refl.magnitude > 1.0 + PASSIVITY_SLACK:
-        raise PassivityViolation(f"|r| = {refl.magnitude:.8f} for an absorbing plane")
-    return fld, refl
+    r = extract_reflection(fld[-1], wave, grid.top, scene.period)
+    if scene.gamma.real > 0 and abs(r) > 1.0 + PASSIVITY_SLACK:
+        raise PassivityViolation(f"|r| = {abs(r):.8f} for an absorbing plane")
+    return fld, r
 
 
 def effective_reflection(order: int, wave: PlaneWave, epsilon: float, H: float,
-                         c1: float | None = None) -> ReflectionCoefficient:
+                         c1: float | None = None) -> complex:
     """Closed-form reflection of the effective models.
 
     order 1: r = -exp(2 i k2 eps H) (conducting plane at eps*H).
@@ -154,17 +137,17 @@ def effective_reflection(order: int, wave: PlaneWave, epsilon: float, H: float,
     """
     phase = np.exp(2j * wave.k2 * epsilon * H)
     if order == 1:
-        return ReflectionCoefficient(complex(-phase), "order1")
+        return complex(-phase)
     if order == 2:
         if c1 is None or not math.isfinite(c1):
             raise ValueError("order-2 model needs a finite c1")
         x = 1j * wave.k2 * epsilon * c1
-        return ReflectionCoefficient(complex((x - 1.0) / (x + 1.0) * phase), "order2")
+        return complex((x - 1.0) / (x + 1.0) * phase)
     raise ValueError("order must be 1 or 2")
 
 
 def farfield_reflection(wave: PlaneWave, epsilon: float, H: float,
-                        c1: float) -> ReflectionCoefficient:
+                        c1: float) -> complex:
     """Reflection of the truncated far-field sum u0 + eps*u1.
 
     u0 reflects off a Dirichlet plane at eps*H; u1 carries the Dirichlet
@@ -174,8 +157,7 @@ def farfield_reflection(wave: PlaneWave, epsilon: float, H: float,
     if not math.isfinite(c1):
         raise ValueError("c1 must be finite")
     phase = np.exp(2j * wave.k2 * epsilon * H)
-    value = -phase + epsilon * c1 * 2j * wave.k2 * phase
-    return ReflectionCoefficient(complex(value), "farfield_sum")
+    return complex(-phase + epsilon * c1 * 2j * wave.k2 * phase)
 
 
 def robin_halfspace_reflection(wave: PlaneWave, gamma: complex) -> complex:

@@ -35,7 +35,7 @@ def test_criterion_1_robin_halfspace_oracle():
         scene = ScatteringScene(epsilon=0.05, H=7.0, layer=layer, gamma=gamma,
                                 period=2.0 * math.pi, L=1.0, config=empty)
         _, refl = reference_solve(scene, wave, dx)
-        errs.append(abs(refl.value - exact))
+        errs.append(abs(refl - exact))
     factor = errs[0] / errs[1]
     _report(1, errs[0] <= 5e-3 and factor >= 3.0,
             f"|dr| = {errs[0]:.3e} (tol 5e-3), halving factor {factor:.2f} (>= 3)")
@@ -64,7 +64,7 @@ def test_criterion_3_unimodularity():
         height = rng.uniform(3.0, 12.0)
         c1 = rng.uniform(0.05, 6.0)
         r2 = effective_reflection(2, wave, eps, height, c1)
-        worst = max(worst, abs(abs(r2.value) - 1.0))
+        worst = max(worst, abs(abs(r2) - 1.0))
     _report(3, worst <= 1e-12,
             f"max | |r2| - 1 | = {worst:.2e} over 100 tuples (tol 1e-12)")
 
@@ -72,8 +72,8 @@ def test_criterion_3_unimodularity():
 def test_criterion_4_farfield_consistency_slope():
     wave = PlaneWave(k=1.0, theta=math.pi / 4.0)
     c1 = 2.3
-    pairs = [(eps, abs(farfield_reflection(wave, eps, 7.0, c1).value
-                       - effective_reflection(2, wave, eps, 7.0, c1).value))
+    pairs = [(eps, abs(farfield_reflection(wave, eps, 7.0, c1)
+                       - effective_reflection(2, wave, eps, 7.0, c1)))
              for eps in (0.1, 0.05, 0.025, 0.0125)]
     slope, _, _ = fit_rate(pairs)
     _report(4, abs(slope - 2.0) <= 0.1, f"log-log slope = {slope:.4f} (2.0 +- 0.1)")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helmlayer import (DtnSpec, LayerSpec, NodeClass, ParticleConfiguration, build_grid,
+from helmlayer import (DtnSpec, LayerSpec, ParticleConfiguration, build_grid,
                        classify_nodes)
 from helmlayer.assemble import Sources, assemble, with_circulant
 from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
@@ -14,9 +14,9 @@ from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
 
 def _laplace_neumann_system(nx_width=10.0, top=8.0, dx=0.2, jump=None):
     grid = build_grid(nx_width, top, dx, interface_heights=(4.0,))
-    tags = classify_nodes(grid, None)
+    mask = classify_nodes(grid, None)
     sources = Sources(flux_jump_height=4.0) if jump else None
-    system = assemble(grid, tags, DtnSpec(), sources=sources)
+    system = assemble(grid, mask, DtnSpec(), sources=sources)
     return grid, system
 
 
@@ -41,8 +41,8 @@ def test_quasiperiodic_wrap_phase():
     k = 1.0
     k1 = k * math.sin(math.pi / 4.0)
     grid = build_grid(10.0, 2.0, 0.2)
-    tags = classify_nodes(grid, None)
-    system = assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j)
+    mask = classify_nodes(grid, None)
+    system = assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j)
     a = system.local.tocsr()
     j = 2
     row = j * grid.nx  # i = 0, interior: left neighbour wraps with exp(-i k1 W)
@@ -76,11 +76,10 @@ def test_dirichlet_rows_are_identity():
     layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
     config = ParticleConfiguration(np.array([[0.0, 4.0]]), layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.2)
-    tags = classify_nodes(grid, config)
-    system = assemble(grid, tags, DtnSpec())
-    flat = tags.ravel()
+    mask = classify_nodes(grid, config)
+    system = assemble(grid, mask, DtnSpec())
     a = system.local.tocsr()
-    idx = np.flatnonzero(flat == NodeClass.PARTICLE_DIRICHLET)[:5]
+    idx = np.flatnonzero(mask)[:5]
     for r in idx:
         start, stop = a.indptr[r], a.indptr[r + 1]
         assert stop - start == 1
@@ -193,35 +192,35 @@ def test_bordered_matches_matrix_free(make_system):
 
 def test_operator_dtype_follows_the_problem():
     grid = build_grid(10.0, 8.0, 0.2, interface_heights=(4.0,))
-    tags = classify_nodes(grid, None)
-    w1 = assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=4.0))
+    mask = classify_nodes(grid, None)
+    w1 = assemble(grid, mask, DtnSpec(), sources=Sources(flux_jump_height=4.0))
     assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
     # k = 0 and real data: the Robin coefficient i k gamma vanishes, the system stays real
-    robin_at_rest = assemble(grid, tags, DtnSpec(), gamma=1 + 1j,
+    robin_at_rest = assemble(grid, mask, DtnSpec(), gamma=1 + 1j,
                              sources=Sources(top_forcing=np.ones(grid.nx)))
     assert (robin_at_rest.local.dtype, robin_at_rest.rhs.dtype) == (np.float64, np.float64)
     g = np.full(grid.nx, 1.0 - 1.0j)
-    forced = assemble(grid, tags, DtnSpec(), sources=Sources(top_forcing=g))
+    forced = assemble(grid, mask, DtnSpec(), sources=Sources(top_forcing=g))
     assert np.array_equal(forced.rhs[forced.top], g)
     k, k1 = 1.0, math.sin(math.pi / 4.0)
     complex_systems = [
         forced,  # W1's operator, but complex data
-        assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j),
-        assemble(grid, tags, DtnSpec(k=k)),  # gamma = 0: a Neumann bottom
-        assemble(grid, tags, DtnSpec(k1=k1)),  # k = 0 with a seam phase
+        assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j),
+        assemble(grid, mask, DtnSpec(k=k)),  # gamma = 0: a Neumann bottom
+        assemble(grid, mask, DtnSpec(k1=k1)),  # k = 0 with a seam phase
     ]
     for system in complex_systems:
         assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)
         assert system.bordered()[0].dtype == np.complex128
 
 
-def _coo_reference(grid, tags, dtn, dtype, gamma=0.0, sources=Sources()):
+def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, sources=Sources()):
     """Operator and rhs from per-stencil COO triplets, duplicates summed by scipy."""
     k = dtn.k
     nx, n = grid.nx, grid.n_nodes
     dx2, dy2, dy = grid.dx ** 2, grid.dy ** 2, grid.dy
     wrap = [np.exp(sign * 1j * dtn.k1 * grid.width) if dtn.k1 else 1.0 for sign in (-1, 1)]
-    dirichlet = tags.ravel() == NodeClass.PARTICLE_DIRICHLET
+    dirichlet = mask.ravel()
     rows, cols, vals = [], [], []
     rhs = np.zeros(n, dtype=dtype)
 
@@ -258,13 +257,13 @@ def _coo_reference(grid, tags, dtn, dtype, gamma=0.0, sources=Sources()):
 
 
 def _oracle_case(name):
-    """(grid, tags, assemble arguments) of one oracle case."""
+    """(grid, mask, assemble arguments) of one oracle case."""
     layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
     # two disks straddle the seam x = +-5, one sits inside
     config = ParticleConfiguration(np.array([[-4.93, 3.01], [4.71, 6.02], [0.3, 4.5]]),
                                    layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.2, interface_heights=(2.0,))
-    tags = classify_nodes(grid, config)
+    mask = classify_nodes(grid, config)
     rng = np.random.default_rng(3)
     nx = grid.nx
     w1 = DtnSpec()
@@ -273,10 +272,10 @@ def _oracle_case(name):
                            top_forcing=(0.5 - 2j) * np.exp(1j * helm.k1 * grid.x_nodes()))
     if name.startswith("hand_tags"):
         # Dirichlet on the bottom and top rows, seam columns included
-        tags = tags.copy()
-        tags[0, [0, 7, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
-        tags[-1, [0, 11, nx - 1]] = NodeClass.PARTICLE_DIRICHLET
-    return grid, tags, {
+        mask = mask.copy()
+        mask[0, [0, 7, nx - 1]] = True
+        mask[-1, [0, 11, nx - 1]] = True
+    return grid, mask, {
         "w1_flux_jump": (w1, {"sources": Sources(flux_jump_height=2.0)}),
         "laplace_real_data": (w1, {"sources": Sources(
             top_forcing=0.5 * rng.normal(size=nx), flux_jump_height=2.0)}),
@@ -289,11 +288,11 @@ def _oracle_case(name):
 @pytest.mark.parametrize("name", ["w1_flux_jump", "laplace_real_data", "helmholtz_robin_seam",
                                   "hand_tags", "hand_tags_real"])
 def test_csr_equals_coo_reference(name):
-    grid, tags, (dtn, kw) = _oracle_case(name)
-    system = assemble(grid, tags, dtn, **kw)
-    ref, rhs = _coo_reference(grid, tags, dtn, system.rhs.dtype, **kw)
+    grid, mask, (dtn, kw) = _oracle_case(name)
+    system = assemble(grid, mask, dtn, **kw)
+    ref, rhs = _coo_reference(grid, mask, dtn, system.rhs.dtype, **kw)
     got = system.local
-    assert (tags == NodeClass.PARTICLE_DIRICHLET)[:, [0, -1]].any(axis=0).all()  # seam reached
+    assert mask[:, [0, -1]].any(axis=0).all()  # seam reached
     assert got.has_canonical_format and ref.has_canonical_format
     for a, b in ((got.data, ref.data), (got.indices, ref.indices), (got.indptr, ref.indptr),
                  (system.rhs, rhs)):
@@ -305,12 +304,12 @@ def test_assembly_memory_is_linear_in_the_output():
     grid = build_grid(70.0, 71.6, 0.2)
     layer = LayerSpec(h=70.0, delta=0.05, width=70.0)
     centers = np.column_stack([np.linspace(-30.0, 30.0, 10), np.full(10, 30.0)])
-    tags = classify_nodes(grid, ParticleConfiguration(centers, layer, seed=0))
+    mask = classify_nodes(grid, ParticleConfiguration(centers, layer, seed=0))
     k, k1 = 1.0, math.sin(0.7)
     forcing = Sources(top_forcing=np.ones(grid.nx, dtype=complex))
     tracemalloc.start()
     try:
-        system = assemble(grid, tags, DtnSpec(k=k, k1=k1), gamma=1 + 1j, sources=forcing)
+        system = assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j, sources=forcing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helmlayer import (FactorTooLarge, LayerSpec, NodeClass, ParticleConfiguration,
+from helmlayer import (FactorTooLarge, LayerSpec, ParticleConfiguration,
                        PointProcessParams, SingularSystem, sample_matern)
 from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, decay_profile,
                                  estimate_c1, export_c1_history, solve_w1)
@@ -33,9 +33,8 @@ def test_shift_identity_exact(small_layer, small_realization):
 
 def test_dirichlet_exact_and_real(small_layer, small_realization):
     w1 = solve_w1(_cfg(small_layer, H=7.0, L_cell=12.0), small_realization)
-    mask = w1.tags == NodeClass.PARTICLE_DIRICHLET
-    assert mask.any()
-    assert np.abs(w1.field[mask]).max() == 0.0
+    assert w1.mask.any()
+    assert np.abs(w1.field[w1.mask]).max() == 0.0
     assert np.abs(w1.field.imag).max() < 1e-10
 
 
@@ -97,8 +96,7 @@ def test_w1_is_nonnegative(width, rho):
             w1 = solve_w1(cfg, sample_matern(cfg.process, layer, 2024, stream=j))
         except SingularSystem:  # an empty realization
             continue
-        free = w1.tags != NodeClass.PARTICLE_DIRICHLET
-        assert w1.field[free].min() >= 0.0
+        assert w1.field[~w1.mask].min() >= 0.0
         assert w1.trace_mean > 0.0
         solved += 1
         if solved == 12:
@@ -182,7 +180,7 @@ def test_decay_profile_constant_field(small_layer, small_realization):
     w1 = solve_w1(cfg, small_realization)
     synthetic = CorrectorSolution(
         field=np.ones_like(w1.field), trace_mean=1.0, flux_report={}, grid=w1.grid,
-        tags=w1.tags, j_interface=w1.j_interface, solve_report=w1.solve_report)
+        mask=w1.mask, j_interface=w1.j_interface, solve_report=w1.solve_report)
     rows = decay_profile(synthetic, 1.0)
     assert all(var == 0.0 for _, _, var, _ in rows)
     assert all(mean == pytest.approx(0.0) for _, mean, _, _ in rows)

@@ -192,6 +192,27 @@ def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
     assert len(estimates) == 5
 
 
+@pytest.mark.parametrize("mean", ["x", None, "nan", True, 3, float("nan"), float("inf"), "missing"])
+def test_c1_cache_without_a_finite_float_mean_is_recomputed(tmp_path, monkeypatch, mean):
+    config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 5.0})
+    estimates = []
+    estimate_c1 = experiments.estimate_c1
+
+    def counting_estimate_c1(*args, **kwargs):
+        estimates.append(args)
+        return estimate_c1(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_c1", counting_estimate_c1)
+    expected = obtain_c1(config)
+    cache = tmp_path / "out" / "c1_cache.json"
+    bad = {k: v for k, v in expected[1].items() if k != "mean"}
+    if mean != "missing":
+        bad["mean"] = mean
+    cache.write_text(json.dumps(bad))  # NaN and Infinity as JSON's extension literals
+    assert obtain_c1(config) == expected
+    assert len(estimates) == 2 and json.loads(cache.read_text()) == expected[1]
+
+
 def test_validate_suite_passes():
     config = ExperimentConfig.from_dict({"scenario": "validate"})
     checks = run_validate(config)
@@ -210,8 +231,8 @@ def test_validate_insensitive_to_c1_perturbation():
 
     wave = PlaneWave(k=1.0, theta=math.pi / 4.0)
     for c1 in (2.3, 2.4):
-        pairs = [(e, abs(farfield_reflection(wave, e, 7.0, c1).value
-                         - effective_reflection(2, wave, e, 7.0, c1).value))
+        pairs = [(e, abs(farfield_reflection(wave, e, 7.0, c1)
+                         - effective_reflection(2, wave, e, 7.0, c1)))
                  for e in (0.1, 0.05, 0.025, 0.0125)]
         wave_pairs.append(fit_rate(pairs)[0])
     assert abs(wave_pairs[0] - 2.0) <= 0.1 and abs(wave_pairs[1] - 2.0) <= 0.1
@@ -243,7 +264,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  {"wave": {"k": float("nan")}, "epsilon_list": [0.8, 0.4, 0.2]},
                  {"wave": {"theta": float("nan")}}, {"gamma": {"re": float("nan"), "im": 1.0}},
                  {"gamma": {"im": float("inf")}}, {"geometry": {"width": float("inf")}},
-                 {"geometry": {"h": float("inf")}}, {"geometry": {"delta": float("nan")}}):
+                 {"geometry": {"h": float("inf")}}, {"geometry": {"delta": float("nan")}},
+                 # expected particle counts rho*width*h/pi beyond the sampler's bound, of
+                 # the layer, and of the sweep window width / 1e-4; nothing is drawn
+                 {"geometry": {"width": 1e300}}, {"geometry": {"width": 1e12}},
+                 {"geometry": {"h": 1e300}},
+                 {"geometry": {"width": 1000.0}, "epsilon_list": [0.5, 1e-4]}):
         bad.write_text(json.dumps(user))
         assert main(["--config", str(bad), "sample"]) == 3
     # a non-finite layer field is named in the message

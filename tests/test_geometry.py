@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from helmlayer import (EmptyConfiguration, InvalidLayer, LayerSpec,
-                       ParticleConfiguration, PointProcessParams, birkhoff_average,
-                       check_hypotheses, distance_field, geometry, sample_matern, substream,
-                       weight_mu)
+                       ParticleConfiguration, PointProcessParams, check_hypotheses,
+                       distance_field, geometry, sample_matern, substream)
 from helmlayer.geometry import lateral_delta
 
 
@@ -57,6 +56,18 @@ def test_intensity_formula():
     params = PointProcessParams(kind="matern2", rho=0.4)
     assert params.intensity(layer) == pytest.approx(0.4 * 50.0 * 5.0 / math.pi)
     assert params.intensity(layer) == pytest.approx(31.83098, abs=1e-4)
+
+
+@pytest.mark.parametrize("width, h", [(1e12, 5.0), (1e300, 5.0), (50.0, 1e300), (1e300, 1e300)])
+def test_expected_count_above_the_bound_is_rejected(width, h):
+    # caught before any draw: Generator.poisson would raise ValueError at 1e300,
+    # and 1e12 would ask for terabytes of points
+    layer = LayerSpec(h=h, delta=0.05, width=width)
+    params = PointProcessParams(rho=0.4)
+    with pytest.raises(InvalidLayer, match="expected particle count"):
+        params.intensity(layer)
+    with pytest.raises(InvalidLayer, match="expected particle count"):
+        sample_matern(params, layer, seed=1)
 
 
 def test_zero_density_gives_empty_configuration(small_layer):
@@ -128,8 +139,6 @@ def test_distance_field_periodic_wraparound():
 def test_distance_field_empty_raises(empty_realization):
     with pytest.raises(EmptyConfiguration):
         distance_field(empty_realization, (0.0, 1.0))
-    with pytest.raises(EmptyConfiguration):
-        weight_mu(empty_realization, (0.0, 1.0), 5.0)
 
 
 def test_distance_field_is_one_lipschitz(small_realization, small_layer):
@@ -142,27 +151,6 @@ def test_distance_field_is_one_lipschitz(small_realization, small_layer):
         dist_ab = math.hypot(dx, a[1] - b[1])
         gap = abs(distance_field(small_realization, a) - distance_field(small_realization, b))
         assert gap <= dist_ab + 1e-12
-
-
-def test_weight_mu_values(small_layer):
-    config = ParticleConfiguration(np.array([[0.0, 2.0]]), small_layer, seed=0)
-    # R = 2 at lateral offset 2 (same height), below h, m = 5
-    assert weight_mu(config, (2.0, 2.0), 5.0) == pytest.approx(2.0 ** -5)
-    assert weight_mu(config, (2.0, 2.0), 5.0) == pytest.approx(0.03125)
-    # above the slab: (y_d^2 + R((y_par, h))^(2m))^(-1) with R = 1 at (0, h)
-    h = small_layer.h
-    cfg2 = ParticleConfiguration(np.array([[0.0, h - 1.0]]), small_layer, seed=0)
-    assert weight_mu(cfg2, (0.0, 2.0 * h), 5.0) == pytest.approx(1.0 / (4.0 * h * h + 1.0))
-    # branch mismatch at y_d = h is the documented model discontinuity
-    below = weight_mu(cfg2, (0.0, h), 5.0)
-    above = weight_mu(cfg2, (0.0, h + 1e-9), 5.0)
-    assert below == pytest.approx(1.0)
-    assert above == pytest.approx(1.0 / (h * h + 1.0), rel=1e-6)
-
-
-def test_weight_mu_requires_m_above_2d(small_realization):
-    with pytest.raises(ValueError):
-        weight_mu(small_realization, (0.0, 1.0), 4.0)
 
 
 def test_check_hypotheses_finite_and_deterministic():
@@ -183,33 +171,6 @@ def test_check_hypotheses_flags_empty():
     layer = LayerSpec(h=5.0, delta=0.05, width=20.0)
     rep = check_hypotheses(PointProcessParams(rho=0.0), layer, n_samples=3, m=5.0)
     assert rep.unbounded
-
-
-def test_birkhoff_constant_observable_has_zero_discrepancy(small_layer, small_process):
-    configs = [sample_matern(small_process, small_layer, 17, stream=j) for j in range(10)]
-    table = birkhoff_average(configs, lambda c, xs: np.ones_like(xs), [2.0, 5.0, 10.0])
-    assert all(d == pytest.approx(0.0, abs=1e-14) for _, d in table)
-
-
-def test_birkhoff_coverage_converges_with_width():
-    layer = LayerSpec(h=5.0, delta=0.05, width=60.0)
-    process = PointProcessParams(rho=0.35)
-    configs = [sample_matern(process, layer, 31, stream=j) for j in range(30)]
-    y_grid = np.linspace(0.0, layer.h, 21)
-
-    def coverage(config, xs):
-        out = np.zeros(len(xs))
-        c = config.centers
-        for idx, x in enumerate(xs):
-            dx = x - c[:, 0]
-            dx -= layer.width * np.round(dx / layer.width)
-            inside = (dx[None, :] ** 2 + (y_grid[:, None] - c[None, :, 1]) ** 2) < 1.0
-            out[idx] = inside.any(axis=1).mean()
-        return out
-
-    table = birkhoff_average(configs, coverage, [4.0, 16.0, 48.0])
-    assert table[-1][1] < 0.05
-    assert table[-1][1] < table[0][1]
 
 
 def test_csv_export(tmp_path, small_realization):
@@ -308,7 +269,7 @@ def test_sweep_matches_all_pairs(layer):
     md = layer.hardcore_distance
     for trial in range(60):
         points, scores = _draw(rng, layer, tied=trial % 2 == 0)
-        # x far outside the cell, as after translated()
+        # x far outside the cell
         shift = (0.0, 5.5 * layer.width + 0.3, -17.0 * layer.width)[trial % 3]
         points[:, 0] += shift
         keep = geometry._matern_keep_mask(points, scores, md, layer.width)
@@ -317,8 +278,8 @@ def test_sweep_matches_all_pairs(layer):
         assert np.array_equal(seq, oracle_sequential_keep(points, layer))
         if not seq.any():
             continue
-        config = ParticleConfiguration(points[seq], layer, seed=0).translated(
-            rng.uniform(-3.0, 3.0) * layer.width)
+        centers = points[seq] + [rng.uniform(-3.0, 3.0) * layer.width, 0.0]
+        config = ParticleConfiguration(centers, layer, seed=0)
         if len(config) > 1:
             assert config.min_pairwise_distance() == oracle_min_pairwise(config.centers, layer)
         xq = rng.uniform(-2.0 * layer.width, 2.0 * layer.width, 50) + shift

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec, NodeClass,
+from helmlayer import (DtnSpec, InvalidDtnSpec, InvalidExtent, LayerSpec,
                        ParticleConfiguration, ParticleOutOfDomain, PointProcessParams,
                        build_grid, classify_nodes, dtn_apply, quasi_mode,
                        sample_matern)
@@ -42,18 +42,16 @@ def test_grid_aspect_guard():
 
 def test_classify_no_particles():
     grid = build_grid(10.0, 8.0, 0.2)
-    tags = classify_nodes(grid, None)
-    assert (tags[0] == NodeClass.BOTTOM_BOUNDARY).all()
-    assert (tags[-1] == NodeClass.TOP_DTN).all()
-    assert (tags[1:-1] == NodeClass.INTERIOR).all()
+    mask = classify_nodes(grid, None)
+    assert mask.dtype == bool and mask.shape == (grid.ny, grid.nx)
+    assert not mask.any()
 
 
 def test_classify_disk_area_count():
     layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
     config = ParticleConfiguration(np.array([[0.0, 4.0]]), layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.1)
-    tags = classify_nodes(grid, config, scale=1.0)
-    count = int((tags == NodeClass.PARTICLE_DIRICHLET).sum())
+    count = int(classify_nodes(grid, config, scale=1.0).sum())
     expected = math.pi / (grid.dx * grid.dy)
     assert abs(count - expected) <= 0.05 * expected
 
@@ -64,22 +62,22 @@ def test_classify_seam_disk_matches_bruteforce():
     layer = LayerSpec(h=8.0, delta=0.05, width=10.0)
     config = ParticleConfiguration(np.array([[cx, cy]]), layer, seed=0)
     grid = build_grid(10.0, 8.0, 0.1)
-    tags = classify_nodes(grid, config, scale=1.0)
+    mask = classify_nodes(grid, config, scale=1.0)
     xs, ys = grid.x_nodes(), grid.y_nodes()
     for j in range(grid.ny):
         for i in range(grid.nx):
             dx = xs[i] - cx
             dx -= grid.width * round(dx / grid.width)
             inside = dx * dx + (ys[j] - cy) ** 2 < 1.0
-            assert (tags[j, i] == NodeClass.PARTICLE_DIRICHLET) == inside
-    left = (tags[:, :10] == NodeClass.PARTICLE_DIRICHLET).sum()
-    right = (tags[:, -10:] == NodeClass.PARTICLE_DIRICHLET).sum()
+            assert mask[j, i] == inside
+    left = mask[:, :10].sum()
+    right = mask[:, -10:].sum()
     assert left > 0 and right > 0
 
 
 def _classify_per_disk(grid, config, scale):
     """Disk-by-disk, row-by-row classification with the package's formula."""
-    tags = classify_nodes(grid, None)
+    mask = classify_nodes(grid, None)
     x0, r2 = -grid.width / 2.0, scale * scale
     for cx, cy in config.centers * scale:
         j_lo = max(0, math.floor((cy - scale) / grid.dy))
@@ -90,8 +88,8 @@ def _classify_per_disk(grid, config, scale):
         for j in range(j_lo, j_hi + 1):
             dyp = j * grid.dy - cy
             inside = dxp * dxp + dyp * dyp < r2
-            tags[j, np.mod(i_range, grid.nx)[inside]] = NodeClass.PARTICLE_DIRICHLET
-    return tags
+            mask[j, np.mod(i_range, grid.nx)[inside]] = True
+    return mask
 
 
 @pytest.mark.parametrize("width, top, dx, scale", [
@@ -106,7 +104,7 @@ def test_classify_equals_per_disk_loop(width, top, dx, scale):
     grid = build_grid(width, top, dx)
     got = classify_nodes(grid, config, scale=scale)
     assert np.array_equal(got, _classify_per_disk(grid, config, scale))
-    assert (got[:, [0, -1]] == NodeClass.PARTICLE_DIRICHLET).any(axis=0).all()
+    assert got[:, [0, -1]].any(axis=0).all()
 
 
 def test_classify_rejects_disk_outside_vertical_extent():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helmlayer import (DtnSpec, FactorTooLarge, LayerSpec, NodeClass, NoConvergence,
+from helmlayer import (DtnSpec, FactorTooLarge, LayerSpec, NoConvergence,
                        ParticleConfiguration, PlaneWave, PointProcessParams, ScatteringScene,
                        SingularSystem, build_grid, classify_nodes, reference_solve,
                        sample_matern, solve)
@@ -20,18 +20,17 @@ from helmlayer.grid import dtn_apply, dtn_multipliers
 
 def _identity_system():
     grid = build_grid(2.0, 2.0, 0.5)
-    tags = classify_nodes(grid, None)
     n = grid.n_nodes
     rng = np.random.default_rng(0)
     rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
     return DiscreteSystem(local=sp.identity(n, dtype=complex, format="csr"),
-                          rhs=rhs, grid=grid, tags=tags, dtn=DtnSpec())
+                          rhs=rhs, grid=grid, dtn=DtnSpec())
 
 
 def _w1_system(config, width=20.0):
     grid = build_grid(width, 12.0, 0.2, interface_heights=(7.0,))
-    tags = classify_nodes(grid, config)
-    return assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=7.0))
+    return assemble(grid, classify_nodes(grid, config), DtnSpec(),
+                    sources=Sources(flux_jump_height=7.0))
 
 
 def test_identity_rows_solution_equals_rhs():
@@ -87,8 +86,8 @@ def _nx20_system(dtn):
                     sources=Sources(top_forcing=np.ones(grid.nx)))
 
 
-def _first_row_above_particles(system):
-    rows = np.flatnonzero((system.tags == NodeClass.PARTICLE_DIRICHLET).any(axis=1))
+def _first_row_above_particles(mask):
+    rows = np.flatnonzero(mask.any(axis=1))
     return max(2, rows.max() + 1) if len(rows) else 2
 
 
@@ -105,14 +104,15 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    cases = [  # nx 20 unless noted
-        _nx20_system(DtnSpec(k=1.0, k1=0.3)),
-        _nx20_system(DtnSpec(k1=0.3)),  # k = 0: quasi-periodic Laplace, no constant kernel
-        _w1_system(small_realization),  # nx 100
+    cases = [  # (system, its particles), nx 20 unless noted
+        (_nx20_system(DtnSpec(k=1.0, k1=0.3)), None),
+        (_nx20_system(DtnSpec(k1=0.3)), None),  # k = 0: quasi-periodic Laplace, no constant kernel
+        (_w1_system(small_realization), small_realization),  # nx 100
     ]
     band = 2 * solver.CUT_HALF_WIDTH + 1
-    for system in cases:
-        j0, nx = _first_row_above_particles(system), system.grid.nx
+    for system, config in cases:
+        j0 = _first_row_above_particles(classify_nodes(system.grid, config))
+        nx = system.grid.nx
         n = (j0 + 1) * nx
         # both forms factor rows 0..j0; row j0 keeps its whole circulant below
         # INTERFACE_NX, and from it on a band of 2w+1 offsets and GMRES iterations
@@ -148,10 +148,11 @@ def test_cut_row_is_the_first_row_above_the_particles(small_realization, empty_r
     empty = _w1_system(empty_realization)
     assert solver._Cut(empty).j0 == 2
     system = _w1_system(small_realization)
+    mask = classify_nodes(system.grid, small_realization)
     j0 = solver._Cut(system).j0
-    assert j0 == _first_row_above_particles(system) > 2
-    assert not (system.tags[j0:] == NodeClass.PARTICLE_DIRICHLET).any()
-    assert (system.tags[j0 - 1] == NodeClass.PARTICLE_DIRICHLET).any()
+    assert j0 == _first_row_above_particles(mask) > 2
+    assert not mask[j0:].any()
+    assert mask[j0 - 1].any()
 
 
 @pytest.mark.parametrize("j_edit", [30, 58])  # strip rows, ny 61
@@ -183,36 +184,39 @@ def test_no_strip_under_a_non_stencil_top():
 
 
 def _matern_w1_system(seed=1, width=20.0):
+    """(system, particle mask) of a Matern W1 cell."""
     cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=width),
                           process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
     grid = cfg.cell_grid()
-    tags = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, seed, stream=0))
-    return assemble(grid, tags, DtnSpec(), sources=Sources(flux_jump_height=grid.snaps[0].snapped))
+    mask = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, seed, stream=0))
+    return assemble(grid, mask, DtnSpec(),
+                    sources=Sources(flux_jump_height=grid.snaps[0].snapped)), mask
 
 
 def _reference_system(process, dx):
+    """(system, particle mask) as reference_solve assembles them."""
     layer = LayerSpec(h=5.0, delta=0.05, width=40.0)
     scene = ScatteringScene(epsilon=0.4, H=7.0, layer=layer, gamma=1.0 + 1.0j,
                             period=16.0, L=3.8, config=sample_matern(process, layer, 3))
     systems = []
 
-    def recording_solve(system):
-        systems.append(system)
-        return solve(system)
+    def recording_assemble(grid, mask, *args, **kwargs):
+        systems.append((assemble(grid, mask, *args, **kwargs), mask))
+        return systems[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scattering, "solve", recording_solve)
+        mp.setattr(scattering, "assemble", recording_assemble)
         reference_solve(scene, PlaneWave(k=1.0, theta=math.pi / 4.0), dx)
     return systems[0]
 
 
-def _assert_strip_record(system):
+def _assert_strip_record(system, mask):
     """The strip record against the assembled rows it describes: the checks a
     matrix-reading detection of the strip would make."""
     grid, strip, a = system.grid, system.strip, system.local
     nx, top, j0 = grid.nx, grid.ny - 1, strip.j0
     assert all(np.asarray(v).dtype == a.dtype for v in strip[1:])
-    assert j0 == 2 or (system.tags[j0 - 1] == NodeClass.PARTICLE_DIRICHLET).any()
+    assert j0 == 2 or mask[j0 - 1].any()
     i = np.arange(nx)
     rows = a[top * nx:]
     assert (np.diff(rows.indptr) == 3).all()
@@ -244,15 +248,15 @@ def test_strip_record_matches_the_assembled_rows(small_process, empty_realizatio
     systems = [_matern_w1_system(seed, width) for width, seeds in ((20.0, (1, 2, 3, 4)),
                                                                    (130.0, (1, 2)), (20.3, (1,)))
                for seed in seeds]
-    assert systems[-1].grid.dx != systems[-1].grid.dy
+    assert systems[-1][0].grid.dx != systems[-1][0].grid.dy
     systems.append(_reference_system(small_process, 0.1))
-    assert systems[-1].dtn.k1 != 0.0
-    for system in systems:
+    assert systems[-1][0].dtn.k1 != 0.0
+    for system, mask in systems:
         assert 2 < system.strip.j0 < system.grid.ny - 3
-        _assert_strip_record(system)
+        _assert_strip_record(system, mask)
     empty = _w1_system(empty_realization)
     assert empty.strip.j0 == 2
-    _assert_strip_record(empty)
+    _assert_strip_record(empty, classify_nodes(empty.grid, empty_realization))
     # too few rows under the top for a strip
     grid = build_grid(4.0, 0.6, 0.2)
     assert assemble(grid, classify_nodes(grid, None), DtnSpec(k=1.0)).strip is None
@@ -260,7 +264,7 @@ def test_strip_record_matches_the_assembled_rows(small_process, empty_realizatio
 
 def test_reduced_solve_matches_the_full_factor(small_process):
     # seed-1 W1 cell, and a quasi-periodic Robin Helmholtz system with particles
-    for system in (_matern_w1_system(), _reference_system(small_process, 0.1)):
+    for system, _ in (_matern_w1_system(), _reference_system(small_process, 0.1)):
         assert solver._Cut(system).j0 < system.grid.ny - 3
         x, _ = solve(system)
         full = system.materialize().astype(system.rhs.dtype)
@@ -277,7 +281,7 @@ def _wide_w1_system():
 def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
     # a wide real W1 cell, and a quasi-periodic Robin Helmholtz system with particles;
     # the reduced solves agree before refinement, the refined solutions after it
-    for system in (_wide_w1_system(), _reference_system(small_process, 0.1)):
+    for system in (_wide_w1_system(), _reference_system(small_process, 0.1)[0]):
         cut = solver._Cut(system)
         assert 2 < cut.j0 < system.grid.ny - 3
         reduced_rhs, _ = cut.reduce(system.rhs)
@@ -307,7 +311,7 @@ def test_banded_cut_row_needs_few_gmres_iterations(small_process, monkeypatch):
     # the earlier band-only form (rows 0..j0-1 factored, row j0 by GMRES
     # preconditioned per mode by its own block) took 46 and 36 + 36 iterations
     monkeypatch.setattr(solver, "INTERFACE_NX", 0)
-    for system, before in ((_wide_w1_system(), 46), (_reference_system(small_process, 0.1), 72)):
+    for system, before in ((_wide_w1_system(), 46), (_reference_system(small_process, 0.1)[0], 72)):
         _, report = solve(system)
         assert 0 < report.iterations <= 0.6 * before
 
@@ -333,11 +337,11 @@ def _one_particle_system(real):
     layer = LayerSpec(h=3.0, delta=0.05, width=4.0)
     config = ParticleConfiguration(np.array([[0.3, 1.5]]), layer, seed=0)
     grid = build_grid(4.0, 4.0, 0.2)
-    tags = classify_nodes(grid, config)
+    mask = classify_nodes(grid, config)
     if real:
-        system = assemble(grid, tags, DtnSpec())
+        system = assemble(grid, mask, DtnSpec())
     else:
-        system = assemble(grid, tags, DtnSpec(k=1.0, k1=math.sin(math.pi / 4.0)), gamma=1 + 1j)
+        system = assemble(grid, mask, DtnSpec(k=1.0, k1=math.sin(math.pi / 4.0)), gamma=1 + 1j)
     rhs = np.random.default_rng(2).normal(size=system.n).astype(system.rhs.dtype)
     return dataclasses.replace(system, rhs=rhs)
 
