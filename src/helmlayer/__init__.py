@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateFit, EmptyConfiguration, FactorTooLarge,
                      HelmlayerError, InvalidDtnSpec, InvalidExtent, InvalidLayer,
                      NoConvergence, NumericalFailure, ParticleOutOfDomain, PassivityViolation,
-                     ResolutionTooCoarse, ShapeMismatch, SingularSystem,
-                     UnsnappedInterface)
+                     ResolutionTooCoarse, ShapeMismatch, SingularSystem)
 from .geometry import (LayerSpec, ParticleConfiguration, PointProcessParams,
                        check_hypotheses, distance_field, sample_matern, substream)
 from .grid import DtnSpec, Grid, build_grid, classify_nodes, dtn_apply, quasi_mode
-from .assemble import DiscreteSystem, Sources, assemble
+from .assemble import DiscreteSystem, assemble
 from .solver import SolveReport, solve
 from .corrector import (C1Estimate, CorrectorConfig, CorrectorSolution, decay_profile,
                         estimate_c1, solve_w1)

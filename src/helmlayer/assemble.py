@@ -7,6 +7,9 @@ has k > 0. Five-point second-order interior stencil, one-sided second-order
 bottom rows -du/dy + i k gamma u = 0 (Neumann at k = 0 or gamma = 0),
 identity rows on particle nodes, and top rows -du/dy + Lambda u = g with
 the modal map Lambda on every lateral mode coupling the whole top line.
+The data are plain arguments: the row of W1's unit flux jump (`jump_row`,
+chosen by `corrector.CorrectorConfig`) and the top forcing g of the
+reference solve (`top_forcing`).
 `assemble` writes the CSR arrays of the sparse part in place: per-row entry
 counts give indptr, and every stencil slot goes straight to its final,
 column-sorted position. It also records the particle-free strip it wrote
@@ -49,24 +52,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatch, UnsnappedInterface
+from .errors import InvalidExtent, ShapeMismatch
 from .grid import DtnSpec, Grid, circulant_offsets, dtn_apply, dtn_multipliers
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-@dataclass
-class Sources:
-    """Right-hand-side data accepted by `assemble`.
-
-    flux_jump_height : snapped interior grid line carrying the unit jump
-        [-du/dy] = 1 of the W1 corrector; enters the interface rows' rhs as 1/dy.
-    top_forcing : data g of the top (modal closure) rows.
-    """
-
-    flux_jump_height: float | None = None
-    top_forcing: np.ndarray | None = None
-
 
 class Strip(NamedTuple):
     """The particle-free strip as `assemble` wrote it, in the operator's dtype.
@@ -198,8 +188,9 @@ def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float
         (vals.ravel(), (n - nx + rows).ravel().astype(np.int32), indptr), shape=(n, n))
 
 
-def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
-             sources: Sources | None = None) -> DiscreteSystem:
+def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *,
+             jump_row: int | None = None,
+             top_forcing: np.ndarray | None = None) -> DiscreteSystem:
     """Assemble the discrete Helmholtz system with wavenumber dtn.k >= 0.
 
     mask : the (ny, nx) particle mask of `grid.classify_nodes`; its nodes are
@@ -210,14 +201,18 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
         i k gamma in the bottom rows; its k1 is the quasi-momentum alpha:
         seam couplings carry exp(+-i alpha width).
 
+    jump_row : interior grid row (1..ny-2) carrying the unit flux jump
+        [-du/dy] = 1 of the W1 corrector; enters its free rows' rhs as 1/dy.
+
+    top_forcing : data g of the top (modal closure) rows.
+
     Operator and rhs are float64 when k = 0, k1 = 0 and the top forcing is
     real, and complex128 otherwise.
     """
     if mask.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("particle mask does not match the grid")
-    sources = sources or Sources()
     k = dtn.k
-    real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(sources.top_forcing)
+    real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(top_forcing)
     dtype = np.float64 if real else np.complex128
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
@@ -258,11 +253,10 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
     put(first + 1 + 2 * lo + hi, ridx - 1 + nx * lo, np.where(lo, -wrap_minus / dx2, -1.0 / dx2))
     put(first + 3 - lo - 2 * hi, ridx + 1 - nx * hi, np.where(hi, -wrap_plus / dx2, -1.0 / dx2))
     put(first + 4, ridx + nx, -1.0 / dy2)
-    if sources.flux_jump_height is not None:
-        j_jump = grid.j_of_height(sources.flux_jump_height)
-        if not 0 < j_jump < ny - 1:
-            raise UnsnappedInterface("flux jump line must be an interior grid line")
-        jump_idx = j_jump * nx + np.arange(nx)
+    if jump_row is not None:
+        if not 0 < jump_row < ny - 1:
+            raise InvalidExtent(f"flux jump row {jump_row} is not an interior row of 0..{ny - 1}")
+        jump_idx = jump_row * nx + np.arange(nx)
         jump_idx = jump_idx[~dirichlet[jump_idx]]
         rhs[jump_idx] += 1.0 / grid.dy
     # bottom rows: one-sided second-order -du/dy + i k gamma u; at k = 0 the
@@ -280,8 +274,8 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0,
     put(first, t_idx - 2 * nx, -0.5 / grid.dy)
     put(first + 1, t_idx - nx, 2.0 / grid.dy)
     put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 - 1.5 / grid.dy, -1.5 / grid.dy))
-    if sources.top_forcing is not None:
-        g = np.asarray(sources.top_forcing, dtype=dtype)
+    if top_forcing is not None:
+        g = np.asarray(top_forcing, dtype=dtype)
         if len(g) != nx:
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g

@@ -101,9 +101,9 @@ def main(argv: list[str] | None = None) -> int:
             for row in report.rows:
                 print(f"eps={row.epsilon:<10.6g} err1={row.err1_mean:.6g} "
                       f"err2={row.err2_mean:.6g} n={row.n}")
-            if report.fitted_rate_order1 is not None:
-                print(f"fitted rates: order1 {report.fitted_rate_order1:.3f}, "
-                      f"order2 {report.fitted_rate_order2:.3f} (c1={report.c1_used:.4f})")
+            if report.rates:
+                print(f"fitted rates: order1 {report.rates['order1']['slope']:.3f}, "
+                      f"order2 {report.rates['order2']['slope']:.3f} (c1={report.c1_used:.4f})")
         elif args.command == "validate":
             checks = run_validate(config)
             failed = 0

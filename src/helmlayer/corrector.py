@@ -1,9 +1,10 @@
 """Near-field corrector problems on the periodic cell and the c1 estimate.
 
 W1 solves Laplace around the normalized particles with a unit flux jump
-across the interface line above the layer; its lateral trace average at the
-cell top, moved to the requested interface height, is the per-realization
-sample of the effective coefficient c1.
+across the interface line above the layer. `CorrectorConfig` puts the jump
+on the grid row nearest the requested height H (`jump_row`); the lateral
+trace average at the cell top, moved from that row to H, is the
+per-realization sample of the effective coefficient c1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import Sources, assemble
+from .assemble import assemble
 from .errors import NoConvergence, NumericalFailure, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
 from .grid import DtnSpec, Grid, build_grid, classify_nodes
@@ -27,7 +28,9 @@ class CorrectorConfig:
     """Geometry and discretization of the corrector cell.
 
     H is the flux-jump interface height (strictly above the particle layer),
-    L_cell the artificial top closed by the k = 0 (Laplace) modal map.
+    L_cell the artificial top closed by the k = 0 (Laplace) modal map, and
+    target_dx in (0, 0.2] the spacing of both axes (10 nodes per particle
+    diameter or more).
     Defaults: H = h + 2 and L_cell = H + width/4, so mode 1, the slowest
     decaying lateral mode, decays by exp(-pi/2) across the buffer. The solver
     eliminates the particle-free rows above the layer mode by mode, so a
@@ -48,32 +51,79 @@ class CorrectorConfig:
             object.__setattr__(self, "L_cell", self.H + self.layer.width / 4.0)
         if not self.layer.h < self.H < self.L_cell:
             raise ValueError(f"need h < H < L_cell, got {self.layer.h}, {self.H}, {self.L_cell}")
-        if self.target_dx > 0.2:
-            raise ValueError("target_dx must resolve particles: at most 0.2 (10 nodes per diameter)")
+        if not 0 < self.target_dx <= 0.2:
+            raise ValueError(f"target_dx must lie in (0, 0.2] to resolve particles "
+                             f"(10 nodes per diameter), not {self.target_dx!r}")
+        # the top row of cell_grid is L_cell rounded to a multiple of target_dx
+        if not 0 < self.jump_row < int(round(self.L_cell / self.target_dx)):
+            raise ValueError(f"H={self.H} rounds to row {self.jump_row}, "
+                             f"not an interior row of the cell")
+
+    @property
+    def jump_row(self) -> int:
+        """Row of the unit flux jump: the grid line of cell_grid nearest H."""
+        return int(round(self.H / self.target_dx))
 
     def cell_grid(self) -> Grid:
-        return build_grid(self.layer.width, self.L_cell, self.target_dx,
-                          interface_heights=(self.H,))
+        return build_grid(self.layer.width, self.L_cell, self.target_dx)
 
 
 @dataclass
 class CorrectorSolution:
-    """Solved W1 field with trace statistics and flux bookkeeping."""
+    """Solved W1 field with its trace mean and c1 sample.
+
+    c1 is trace_mean moved from the jump row j_interface to the requested
+    height H by the exact shift identity c1(H + s) = c1(H) + s.
+    """
 
     field: np.ndarray
     trace_mean: float
-    flux_report: dict
+    c1: float
     grid: Grid
     mask: np.ndarray
     j_interface: int
     solve_report: SolveReport
 
     @property
-    def c1(self) -> float:
-        """The c1 sample: trace_mean moved from the snapped interface line to the
-        requested height by the exact shift identity c1(H + s) = c1(H) + s."""
-        snap = self.grid.snaps[0]
-        return self.trace_mean + (snap.requested - snap.snapped)
+    def flux_report(self) -> dict:
+        """Exact discrete telescoping of the interior balance rows.
+
+        injected (the unit jump over the cell width) = particle + bottom + top
+        up to the solver residual; the bottom and top terms are the telescoped
+        line fluxes (O(dy^2) small for the homogeneous-Neumann / modal
+        closures, not asserted to vanish).
+        """
+        field, mask, grid = self.field, self.mask, self.grid
+        dy_dx = grid.dy / grid.dx
+        dx_dy = grid.dx / grid.dy
+        free_int = ~mask
+        free_int[0, :] = False
+        free_int[-1, :] = False
+        particle = 0.0
+        left = np.roll(mask, 1, axis=1)
+        right = np.roll(mask, -1, axis=1)
+        particle += dy_dx * field[free_int & left].sum()
+        particle += dy_dx * field[free_int & right].sum()
+        down = np.zeros_like(mask)
+        down[1:, :] = mask[:-1, :]
+        up = np.zeros_like(mask)
+        up[:-1, :] = mask[1:, :]
+        particle += dx_dy * field[free_int & down].sum()
+        particle += dx_dy * field[free_int & up].sum()
+        row1_free = ~mask[1, :]
+        bottom = dx_dy * (field[1, row1_free] - field[0, row1_free]).sum()
+        rowt_free = ~mask[-2, :]
+        top = dx_dy * (field[-2, rowt_free] - field[-1, rowt_free]).sum()
+        injected = grid.width
+        residual = float(injected - (particle + bottom + top))
+        return {
+            "injected": injected,
+            "particle": float(particle),
+            "bottom": float(bottom),
+            "top": float(top),
+            "residual": residual,
+            "rel_imbalance": abs(residual) / injected,
+        }
 
 
 @dataclass(frozen=True)
@@ -96,46 +146,6 @@ class C1Estimate:
             raise ValueError("ci95 must contain the mean")
 
 
-def _flux_balance(field: np.ndarray, mask: np.ndarray, grid: Grid) -> dict:
-    """Exact discrete telescoping of the interior balance rows.
-
-    injected (the unit jump over the cell width) = particle + bottom + top up
-    to the solver residual; the bottom and top terms are the telescoped line
-    fluxes (O(dy^2) small for the homogeneous-Neumann / modal closures, not
-    asserted to vanish).
-    """
-    dy_dx = grid.dy / grid.dx
-    dx_dy = grid.dx / grid.dy
-    free_int = ~mask
-    free_int[0, :] = False
-    free_int[-1, :] = False
-    particle = 0.0
-    left = np.roll(mask, 1, axis=1)
-    right = np.roll(mask, -1, axis=1)
-    particle += dy_dx * field[free_int & left].sum()
-    particle += dy_dx * field[free_int & right].sum()
-    down = np.zeros_like(mask)
-    down[1:, :] = mask[:-1, :]
-    up = np.zeros_like(mask)
-    up[:-1, :] = mask[1:, :]
-    particle += dx_dy * field[free_int & down].sum()
-    particle += dx_dy * field[free_int & up].sum()
-    row1_free = ~mask[1, :]
-    bottom = dx_dy * (field[1, row1_free] - field[0, row1_free]).sum()
-    rowt_free = ~mask[-2, :]
-    top = dx_dy * (field[-2, rowt_free] - field[-1, rowt_free]).sum()
-    injected = grid.width
-    residual = float(injected - (particle + bottom + top))
-    return {
-        "injected": injected,
-        "particle": float(particle),
-        "bottom": float(bottom),
-        "top": float(top),
-        "residual": residual,
-        "rel_imbalance": abs(residual) / injected,
-    }
-
-
 def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSolution:
     """Solve the unit-flux-jump corrector on one realization.
 
@@ -147,15 +157,16 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
     realization propagates SingularSystem (the injected flux has no outlet).
     """
     grid = cfg.cell_grid()
-    snap = grid.snaps[0]
+    j = cfg.jump_row
     mask = classify_nodes(grid, config, scale=1.0)
-    system = assemble(grid, mask, DtnSpec(), sources=Sources(flux_jump_height=snap.snapped))
+    system = assemble(grid, mask, DtnSpec(), jump_row=j)
     x, report = solve(system)
     fld = x.reshape(grid.ny, grid.nx)
     fld[mask] = 0.0
-    return CorrectorSolution(field=fld, trace_mean=fld[-1].mean().item(),
-                             flux_report=_flux_balance(fld, mask, grid), grid=grid,
-                             mask=mask, j_interface=snap.j_index, solve_report=report)
+    trace_mean = fld[-1].mean().item()
+    return CorrectorSolution(field=fld, trace_mean=trace_mean,
+                             c1=trace_mean + (cfg.H - j * grid.dy), grid=grid, mask=mask,
+                             j_interface=j, solve_report=report)
 
 
 def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:

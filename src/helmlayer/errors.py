@@ -21,10 +21,6 @@ class ParticleOutOfDomain(HelmlayerError):
     """A scaled particle does not lie strictly inside the grid."""
 
 
-class UnsnappedInterface(HelmlayerError):
-    """An interface height does not coincide with a grid line."""
-
-
 class InvalidDtnSpec(HelmlayerError):
     """Modal boundary closure parameters are inconsistent."""
 

@@ -129,22 +129,27 @@ class ExperimentConfig:
             raise ConfigError("epsilon_list entries must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("epsilon_list must be strictly decreasing")
-        try:
-            # the layer, and the widest window a sweep samples: width / smallest epsilon
-            for width in (layer.width, layer.width / eps[-1]):
-                process.intensity(dataclasses.replace(layer, width=width))
-        except HelmlayerError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key in ("grid.nodes_per_diameter", "grid.dtn_gap", "gamma.re"):
+            if not settings[key] > 0:
+                raise ConfigError(f"{key} must be positive, not {settings[key]!r}")
         if n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if not 0 <= master_seed < 2 ** 64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
-        return ExperimentConfig(
+        config = ExperimentConfig(
             scenario=merged["scenario"], layer=layer, process=process, wave=wave,
             gamma=gamma, epsilon_list=eps, n_samples=n_samples, master_seed=master_seed,
             target_dx=target_dx, nodes_per_diameter=nodes_per_diameter,
             dtn_gap=dtn_gap, output_dir=str(merged["output_dir"]), raw=merged,
         )
+        try:
+            # the layer, and the widest window a sweep samples: width / smallest epsilon
+            for width in (layer.width, layer.width / eps[-1]):
+                process.intensity(dataclasses.replace(layer, width=width))
+            config.corrector_config()  # target_dx and the jump row of H
+        except (ValueError, HelmlayerError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return config
 
     def corrector_config(self, width: float | None = None) -> CorrectorConfig:
         """Corrector cell at `width` (default: the layer's)."""
@@ -189,8 +194,6 @@ class SweepRow:
 @dataclass
 class SweepReport:
     rows: list[SweepRow]
-    fitted_rate_order1: float | None
-    fitted_rate_order2: float | None
     rates: dict
     c1_used: float
     provenance: dict
@@ -215,8 +218,9 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
-    """Everything the cached c1 depends on. The snapped interface height keys out
-    a cache written before c1 samples were moved to the requested height."""
+    """Everything the cached c1 depends on. The height of the flux-jump row keys
+    out a cache written before c1 samples were moved to the requested height."""
+    cfg = config.corrector_config()
     return {
         "rho": config.process.rho,
         "kind": config.process.kind,
@@ -226,7 +230,7 @@ def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
         "target_dx": config.target_dx,
         "master_seed": config.master_seed,
         "n_samples": n_c1,
-        "H_snapped": config.corrector_config().cell_grid().snaps[0].snapped,
+        "H_snapped": cfg.jump_row * cfg.target_dx,
     }
 
 
@@ -354,7 +358,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
                              float(err2.mean()), std2, len(values)))
         grids_used[repr(float(epsilon))] = window
     rates: dict = {}
-    rate1 = rate2 = None
     if len(rows) >= 3:
         try:
             slope1, icept1, rsq1 = fit_rate([(r.epsilon, r.err1_mean) for r in rows])
@@ -362,7 +365,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
         except DegenerateFit as exc:
             failures.append(f"rate fit skipped: {exc}")
         else:
-            rate1, rate2 = slope1, slope2
             rates = {"order1": {"slope": slope1, "intercept": icept1, "r_squared": rsq1},
                      "order2": {"slope": slope2, "intercept": icept2, "r_squared": rsq2}}
     with open(out / "sweep.csv", "w", newline="\n") as fh:
@@ -375,8 +377,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
     prov = _provenance(config, {"c1_used": c1, "grids": grids_used,
                                 "failures": failures})
     _write_json(prov, out / "provenance.json")
-    return SweepReport(rows=rows, fitted_rate_order1=rate1, fitted_rate_order2=rate2,
-                       rates=rates, c1_used=c1, provenance=prov)
+    return SweepReport(rows=rows, rates=rates, c1_used=c1, provenance=prov)
 
 
 @dataclass

@@ -29,10 +29,16 @@ from .errors import EmptyConfiguration, InvalidLayer
 
 VALID_PROCESS_KINDS = ("matern2", "hardcore_poisson")
 # Largest Poisson parameter nu = rho * width * h / pi that a layer may have.
-# At h = 5 a draw peaks at 240-360 bytes per expected point (more in taller
-# layers, which give each point more lateral candidates), so about 360 MB at
-# the bound; the widest window of the benchmark draws about 1,300 points.
+# At h = 5 a draw peaks at 240-360 bytes per expected point, so about 360 MB
+# at the bound; the widest window of the benchmark draws about 1,300 points.
 MAX_EXPECTED_PARTICLES = 1_000_000
+# Largest expected number of candidate pairs nu^2 min(1, 2 (2+delta)/width)
+# of the lateral sweep, which pairs every point with all points within 2+delta
+# laterally, at any height. A tall layer's draw peaks at about 40 bytes per
+# expected pair (h 50-500, tracemalloc), so about 400 MB at the bound; every
+# layer within the count bound with (2+delta) * h <= 5 pi (h <= 7.6 at
+# delta = 0.05) stays under it.
+MAX_EXPECTED_PAIRS = 10_000_000
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -104,11 +110,17 @@ class PointProcessParams:
 
     def intensity(self, layer: LayerSpec) -> float:
         """Poisson parameter nu = rho * width * h / pi for unit disks; raises
-        InvalidLayer above MAX_EXPECTED_PARTICLES."""
+        InvalidLayer above MAX_EXPECTED_PARTICLES, or when the expected
+        candidate pairs of the lateral sweep exceed MAX_EXPECTED_PAIRS."""
         nu = self.rho * layer.width * layer.h / math.pi
         if not nu <= MAX_EXPECTED_PARTICLES:
             raise InvalidLayer(f"expected particle count {nu:.3g} exceeds "
                                f"{MAX_EXPECTED_PARTICLES:,} (rho * width * h / pi)")
+        pairs = nu * nu * min(1.0, 2.0 * layer.hardcore_distance / layer.width)
+        if not pairs <= MAX_EXPECTED_PAIRS:
+            raise InvalidLayer(f"expected candidate pairs {pairs:.3g} exceed "
+                               f"{MAX_EXPECTED_PAIRS:,} (a layer of height {layer.h} "
+                               f"is too tall for rho * width)")
         return nu
 
 

@@ -1,11 +1,13 @@
 """Uniform lateral-periodic grids, node classification, and modal closures.
 
 The cell is [-width/2, width/2] x [0, top] with nx lateral nodes (periodic
-wrap, dx = width/nx) and ny vertical lines (dy fixed by the requested
-spacing, so every requested interface height lands exactly on a grid line
-after snapping). The top line carries the quasi-periodic Helmholtz
-Dirichlet-to-Neumann map (k >= 0; k = 0 is the Laplace map of the W1
-corrector) on every lateral mode, applied through lateral FFTs.
+wrap, dx = width/nx) and ny vertical lines (dy the requested spacing
+exactly, the top rounded to a multiple of it). The grid knows no interface
+lines: a caller picks rows itself (the W1 flux jump's is
+`corrector.CorrectorConfig.jump_row`). The top line carries the
+quasi-periodic Helmholtz Dirichlet-to-Neumann map (k >= 0; k = 0 is the
+Laplace map of the W1 corrector) on every lateral mode, applied through
+lateral FFTs.
 """
 
 from __future__ import annotations
@@ -15,18 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDtnSpec, InvalidExtent, ParticleOutOfDomain, UnsnappedInterface
+from .errors import InvalidDtnSpec, InvalidExtent, ParticleOutOfDomain
 from .geometry import ParticleConfiguration, lateral_delta
-
-
-@dataclass(frozen=True)
-class SnapReport:
-    """Requested interface height, the grid line it snapped to, and the move."""
-
-    requested: float
-    snapped: float
-    j_index: int
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,6 @@ class Grid:
     ny: int
     dx: float
     dy: float
-    snaps: tuple[SnapReport, ...] = ()
 
     def __post_init__(self) -> None:
         if self.dx <= 0 or self.dy <= 0:
@@ -60,41 +51,17 @@ class Grid:
     def y_nodes(self) -> np.ndarray:
         return self.dy * np.arange(self.ny)
 
-    def j_of_height(self, height: float) -> int:
-        """Grid line index of a snapped interface height."""
-        j = int(round(height / self.dy))
-        if not 0 <= j < self.ny:
-            raise InvalidExtent(f"height {height} outside the grid")
-        if abs(j * self.dy - height) > 1e-9 * max(1.0, abs(height)):
-            raise UnsnappedInterface(f"height {height} is not a grid line (dy={self.dy})")
-        return j
 
-
-def build_grid(width: float, top: float, target_dx: float,
-               interface_heights: tuple[float, ...] | list[float] = ()) -> Grid:
-    """Build a grid with every interface height snapped to a grid line.
-
-    dy is the requested spacing exactly; the top and all interface heights
-    are rounded to the nearest multiple of dy (snap distances recorded, all
-    below dy/2). dx = width/nx with nx = round(width/target_dx).
+def build_grid(width: float, top: float, target_dx: float) -> Grid:
+    """Build a grid with dy = target_dx exactly and the top rounded to the
+    nearest multiple of dy; dx = width/nx with nx = round(width/target_dx).
     """
     if width <= 0 or top <= 0 or target_dx <= 0:
         raise InvalidExtent("width, top, target_dx must be positive")
     nx = max(4, int(round(width / target_dx)))
-    dx = width / nx
     dy = target_dx
     ny = max(4, int(round(top / dy)) + 1)
-    snaps = []
-    for h_req in interface_heights:
-        j = int(round(h_req / dy))
-        snapped = j * dy
-        snaps.append(SnapReport(float(h_req), snapped, j, abs(snapped - h_req)))
-    grid = Grid(width=width, top=(ny - 1) * dy, nx=nx, ny=ny, dx=dx, dy=dy,
-                snaps=tuple(snaps))
-    for s in grid.snaps:
-        if not 0 < s.j_index < grid.ny:
-            raise InvalidExtent(f"interface {s.requested} outside the grid")
-    return grid
+    return Grid(width=width, top=(ny - 1) * dy, nx=nx, ny=ny, dx=width / nx, dy=dy)
 
 
 def classify_nodes(grid: Grid, config: ParticleConfiguration | None,

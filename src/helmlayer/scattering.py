@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import Sources, assemble
+from .assemble import assemble
 from .errors import PassivityViolation, ResolutionTooCoarse, ShapeMismatch
 from .geometry import LayerSpec, ParticleConfiguration
 from .grid import DtnSpec, Grid, build_grid, classify_nodes
@@ -75,9 +75,8 @@ class ScatteringScene:
             raise ValueError("need eps*h < eps*H < L")
 
     def grid(self, target_dx: float) -> Grid:
-        """Reference grid on the period cell, snapped to the plane at epsilon*H."""
-        return build_grid(self.period, self.L, target_dx,
-                          interface_heights=(self.epsilon * self.H,))
+        """Reference grid on the period cell."""
+        return build_grid(self.period, self.L, target_dx)
 
 
 def extract_reflection(field_trace_on_L: np.ndarray, wave: PlaneWave, L: float,
@@ -119,7 +118,7 @@ def reference_solve(scene: ScatteringScene, wave: PlaneWave,
     x = grid.x_nodes()
     inc_trace = np.exp(1j * (wave.k1 * x + wave.k2 * grid.top))
     forcing = -2j * wave.k2 * inc_trace
-    system = assemble(grid, mask, dtn, gamma=scene.gamma, sources=Sources(top_forcing=forcing))
+    system = assemble(grid, mask, dtn, gamma=scene.gamma, top_forcing=forcing)
     sol, _ = solve(system)
     fld = sol.reshape(grid.ny, grid.nx)
     r = extract_reflection(fld[-1], wave, grid.top, scene.period)

@@ -103,7 +103,7 @@ def test_criterion_6_rate_reproduction_desk_scale():
     targets = [e * config.wave.k2 for e in config.epsilon_list]
     assert targets == pytest.approx([0.2, 0.1, 0.05, 0.025])
     report = run_sweep(config, threads=2)
-    rate1, rate2 = report.fitted_rate_order1, report.fitted_rate_order2
+    rate1, rate2 = (report.rates[order]["slope"] for order in ("order1", "order2"))
     ordered = all(r.err2_mean < r.err1_mean for r in report.rows)
     ok = (len(report.rows) == 4 and 0.7 <= rate1 <= 1.3 and ordered and rate2 >= 1.1)
     rows = "; ".join(f"k2e={r.epsilon * config.wave.k2:.3f}: "

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helmlayer import (DtnSpec, LayerSpec, ParticleConfiguration, build_grid,
+from helmlayer import (DtnSpec, InvalidExtent, LayerSpec, ParticleConfiguration, build_grid,
                        classify_nodes)
-from helmlayer.assemble import Sources, assemble, with_circulant
+from helmlayer.assemble import assemble, with_circulant
 from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
 
 
 def _laplace_neumann_system(nx_width=10.0, top=8.0, dx=0.2, jump=None):
-    grid = build_grid(nx_width, top, dx, interface_heights=(4.0,))
+    grid = build_grid(nx_width, top, dx)
     mask = classify_nodes(grid, None)
-    sources = Sources(flux_jump_height=4.0) if jump else None
-    system = assemble(grid, mask, DtnSpec(), sources=sources)
+    system = assemble(grid, mask, DtnSpec(), jump_row=round(4.0 / dx) if jump else None)
     return grid, system
 
 
@@ -66,10 +65,19 @@ def test_real_laplace_interior_block_is_symmetric():
 
 def test_flux_jump_enters_rhs_scaled():
     grid, system = _laplace_neumann_system(jump=True)
-    j = grid.j_of_height(4.0)
+    j = 20  # the line y = 4
     row = j * grid.nx
     assert system.rhs[row] == pytest.approx(1.0 / grid.dy)
     assert system.rhs[(j + 1) * grid.nx] == 0.0
+    assert np.count_nonzero(system.rhs) == grid.nx
+
+
+def test_a_jump_row_off_the_interior_is_an_invalid_extent():
+    grid = build_grid(10.0, 8.0, 0.2)
+    mask = classify_nodes(grid, None)
+    for row in (0, grid.ny - 1, -1, grid.ny):
+        with pytest.raises(InvalidExtent):
+            assemble(grid, mask, DtnSpec(), jump_row=row)
 
 
 def test_dirichlet_rows_are_identity():
@@ -98,7 +106,7 @@ def _quasiperiodic_robin_case():
     k1 = k * math.sin(math.pi / 4.0)
     grid = build_grid(10.0, 2.0, 0.2)
     return assemble(grid, classify_nodes(grid, None), DtnSpec(k=k, k1=k1), gamma=1 + 1j,
-                    sources=Sources(top_forcing=np.ones(grid.nx)))
+                    top_forcing=np.ones(grid.nx))
 
 
 FACTORED_FORM_CASES = pytest.mark.parametrize(
@@ -191,16 +199,15 @@ def test_bordered_matches_matrix_free(make_system):
 
 
 def test_operator_dtype_follows_the_problem():
-    grid = build_grid(10.0, 8.0, 0.2, interface_heights=(4.0,))
+    grid = build_grid(10.0, 8.0, 0.2)
     mask = classify_nodes(grid, None)
-    w1 = assemble(grid, mask, DtnSpec(), sources=Sources(flux_jump_height=4.0))
+    w1 = assemble(grid, mask, DtnSpec(), jump_row=20)
     assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
     # k = 0 and real data: the Robin coefficient i k gamma vanishes, the system stays real
-    robin_at_rest = assemble(grid, mask, DtnSpec(), gamma=1 + 1j,
-                             sources=Sources(top_forcing=np.ones(grid.nx)))
+    robin_at_rest = assemble(grid, mask, DtnSpec(), gamma=1 + 1j, top_forcing=np.ones(grid.nx))
     assert (robin_at_rest.local.dtype, robin_at_rest.rhs.dtype) == (np.float64, np.float64)
     g = np.full(grid.nx, 1.0 - 1.0j)
-    forced = assemble(grid, mask, DtnSpec(), sources=Sources(top_forcing=g))
+    forced = assemble(grid, mask, DtnSpec(), top_forcing=g)
     assert np.array_equal(forced.rhs[forced.top], g)
     k, k1 = 1.0, math.sin(math.pi / 4.0)
     complex_systems = [
@@ -214,7 +221,7 @@ def test_operator_dtype_follows_the_problem():
         assert system.bordered()[0].dtype == np.complex128
 
 
-def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, sources=Sources()):
+def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, jump_row=None, top_forcing=None):
     """Operator and rhs from per-stencil COO triplets, duplicates summed by scipy."""
     k = dtn.k
     nx, n = grid.nx, grid.n_nodes
@@ -239,8 +246,8 @@ def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, sources=Sources()):
     add(r, r - i + (i + 1) % nx, np.where(i == nx - 1, -wrap[1] / dx2, -1.0 / dx2))
     add(r, r - nx, -1.0 / dy2)
     add(r, r + nx, -1.0 / dy2)
-    if sources.flux_jump_height is not None:
-        jump = grid.j_of_height(sources.flux_jump_height) * nx + np.arange(nx)
+    if jump_row is not None:
+        jump = jump_row * nx + np.arange(nx)
         rhs[jump[~dirichlet[jump]]] += 1.0 / dy
     b = np.flatnonzero(~dirichlet[:nx])
     add(b, b, 1.5 / dy + (1j * k * gamma if k else 0.0))
@@ -249,8 +256,8 @@ def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, sources=Sources()):
     t = np.arange(n - nx, n)
     for shift, v in ((0, 1.5), (nx, -2.0), (2 * nx, 0.5)):
         add(t, t - shift, -v / dy)
-    if sources.top_forcing is not None:
-        rhs[t] = sources.top_forcing
+    if top_forcing is not None:
+        rhs[t] = top_forcing
     coo = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(n, n))
     return coo.tocsr(), rhs
@@ -262,26 +269,25 @@ def _oracle_case(name):
     # two disks straddle the seam x = +-5, one sits inside
     config = ParticleConfiguration(np.array([[-4.93, 3.01], [4.71, 6.02], [0.3, 4.5]]),
                                    layer, seed=0)
-    grid = build_grid(10.0, 8.0, 0.2, interface_heights=(2.0,))
+    grid = build_grid(10.0, 8.0, 0.2)
     mask = classify_nodes(grid, config)
     rng = np.random.default_rng(3)
     nx = grid.nx
     w1 = DtnSpec()
     helm = DtnSpec(k=1.0, k1=math.sin(0.7))
-    complex_data = Sources(flux_jump_height=2.0,
-                           top_forcing=(0.5 - 2j) * np.exp(1j * helm.k1 * grid.x_nodes()))
+    complex_data = {"jump_row": 10,  # the line y = 2
+                    "top_forcing": (0.5 - 2j) * np.exp(1j * helm.k1 * grid.x_nodes())}
     if name.startswith("hand_tags"):
         # Dirichlet on the bottom and top rows, seam columns included
         mask = mask.copy()
         mask[0, [0, 7, nx - 1]] = True
         mask[-1, [0, 11, nx - 1]] = True
     return grid, mask, {
-        "w1_flux_jump": (w1, {"sources": Sources(flux_jump_height=2.0)}),
-        "laplace_real_data": (w1, {"sources": Sources(
-            top_forcing=0.5 * rng.normal(size=nx), flux_jump_height=2.0)}),
-        "helmholtz_robin_seam": (helm, {"gamma": 1 + 1j, "sources": complex_data}),
-        "hand_tags": (helm, {"gamma": 0.5 - 1j, "sources": complex_data}),
-        "hand_tags_real": (w1, {"sources": Sources(flux_jump_height=2.0)}),
+        "w1_flux_jump": (w1, {"jump_row": 10}),
+        "laplace_real_data": (w1, {"top_forcing": 0.5 * rng.normal(size=nx), "jump_row": 10}),
+        "helmholtz_robin_seam": (helm, {"gamma": 1 + 1j, **complex_data}),
+        "hand_tags": (helm, {"gamma": 0.5 - 1j, **complex_data}),
+        "hand_tags_real": (w1, {"jump_row": 10}),
     }[name]
 
 
@@ -306,10 +312,10 @@ def test_assembly_memory_is_linear_in_the_output():
     centers = np.column_stack([np.linspace(-30.0, 30.0, 10), np.full(10, 30.0)])
     mask = classify_nodes(grid, ParticleConfiguration(centers, layer, seed=0))
     k, k1 = 1.0, math.sin(0.7)
-    forcing = Sources(top_forcing=np.ones(grid.nx, dtype=complex))
+    forcing = np.ones(grid.nx, dtype=complex)
     tracemalloc.start()
     try:
-        system = assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j, sources=forcing)
+        system = assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j, top_forcing=forcing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,11 +17,29 @@ def _cfg(layer, rho=0.3, **kw):
 def test_config_validation(small_layer):
     with pytest.raises(ValueError):
         CorrectorConfig(layer=small_layer, H=4.0)  # below the layer top
-    with pytest.raises(ValueError):
-        CorrectorConfig(layer=small_layer, target_dx=0.3)
+    for target_dx in (0.3, 0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            CorrectorConfig(layer=small_layer, target_dx=target_dx)
+    with pytest.raises(ValueError):  # H rounds to the top row 35
+        CorrectorConfig(layer=small_layer, H=7.0, L_cell=7.05)
     cfg = CorrectorConfig(layer=small_layer)
     assert cfg.H == small_layer.h + 2.0
     assert cfg.L_cell == cfg.H + small_layer.width / 4.0
+
+
+def test_jump_row_of_an_interface_on_a_grid_line():
+    cfg = CorrectorConfig(layer=LayerSpec(h=3.0, width=10.0), H=5.0, target_dx=0.1)
+    grid = cfg.cell_grid()
+    assert cfg.jump_row == 50 and 0 < cfg.jump_row < grid.ny - 1
+    assert cfg.jump_row * grid.dy == pytest.approx(5.0, abs=1e-12)
+
+
+def test_jump_row_snaps_an_offset_interface():
+    cfg = CorrectorConfig(layer=LayerSpec(h=3.0, width=10.0), H=5.03, target_dx=0.1)
+    moved = cfg.H - cfg.jump_row * cfg.cell_grid().dy
+    assert cfg.jump_row == 50
+    assert moved == pytest.approx(0.03)
+    assert abs(moved) < cfg.target_dx / 2.0
 
 
 def test_shift_identity_exact(small_layer, small_realization):
@@ -79,8 +97,8 @@ def test_c1_sample_is_moved_to_the_requested_interface(small_layer):
     realization = sample_matern(PointProcessParams(rho=0.3), layer, 7)
     lo = solve_w1(_cfg(layer), realization)
     hi = solve_w1(_cfg(LayerSpec(h=4.6, delta=0.05, width=layer.width)), realization)
-    assert lo.grid.snaps[0].snapped == pytest.approx(6.4)
-    assert hi.grid.snaps[0].snapped == pytest.approx(6.6)
+    assert lo.j_interface * lo.grid.dy == pytest.approx(6.4)
+    assert hi.j_interface * hi.grid.dy == pytest.approx(6.6)
     assert hi.trace_mean - lo.trace_mean == pytest.approx(0.2, abs=1e-9)
     assert abs(hi.c1 - lo.c1 - 0.1) <= 1e-12
 
@@ -179,7 +197,7 @@ def test_decay_profile_constant_field(small_layer, small_realization):
     cfg = _cfg(small_layer, H=7.0, L_cell=12.0)
     w1 = solve_w1(cfg, small_realization)
     synthetic = CorrectorSolution(
-        field=np.ones_like(w1.field), trace_mean=1.0, flux_report={}, grid=w1.grid,
+        field=np.ones_like(w1.field), trace_mean=1.0, c1=1.0, grid=w1.grid,
         mask=w1.mask, j_interface=w1.j_interface, solve_report=w1.solve_report)
     rows = decay_profile(synthetic, 1.0)
     assert all(var == 0.0 for _, _, var, _ in rows)

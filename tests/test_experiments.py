@@ -293,6 +293,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", str(bad), "sample"]) == 3
 
 
+@pytest.mark.parametrize("user, command", [
+    ({"grid": {"target_dx": 0.5}}, "c1"),
+    ({"grid": {"target_dx": 0.5}}, "corrector-profile"),
+    ({"grid": {"target_dx": 0.5}}, "sweep"),
+    ({"grid": {"target_dx": 0.0}}, "c1"),
+    ({"grid": {"target_dx": -0.1}}, "c1"),
+    ({"gamma": {"re": 0.0}}, "reference"),
+    ({"gamma": {"re": 0.0}}, "sweep"),
+    ({"grid": {"dtn_gap": 0.0}}, "reference"),
+    ({"grid": {"dtn_gap": -1.0}}, "reference"),
+    ({"grid": {"nodes_per_diameter": 0.0}}, "reference"),
+    ({"grid": {"nodes_per_diameter": -5.0}}, "reference"),
+    # far under the count bound, but the sampler's candidate pairs are not
+    ({"geometry": {"h": 5000.0}}, "sample"),
+])
+def test_cli_rejects_out_of_range_settings_as_config_errors(tmp_path, capsys, user, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(user, output_dir=str(tmp_path / "out"))))
+    assert main(["--config", str(cfg), command]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_a_non_periodic_layer(tmp_path, capsys):
     # at width 10 and seed 1, the two disks sit 1.59 apart across the seam,
     # which only a non-periodic metric would have accepted

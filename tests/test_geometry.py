@@ -70,6 +70,25 @@ def test_expected_count_above_the_bound_is_rejected(width, h):
         sample_matern(params, layer, seed=1)
 
 
+def test_expected_candidate_pairs_above_the_bound_are_rejected():
+    # the lateral sweep pairs every point with all points within 2+delta
+    # laterally, at any height: nu^2 * min(1, 2 (2+delta) / width) candidates.
+    # Nothing is drawn: a tall layer like these would need gigabytes.
+    params = PointProcessParams(rho=0.4)
+    with pytest.raises(InvalidLayer, match="candidate pairs"):
+        params.intensity(LayerSpec(h=5000.0, delta=0.05, width=25.0))
+    # at width 41 the fraction is 0.1, so the bound is nu = 1e4
+    h_bound = 1e4 * math.pi / (0.4 * 41.0)
+    assert params.intensity(LayerSpec(h=0.99 * h_bound, delta=0.05, width=41.0)) < 1e4
+    with pytest.raises(InvalidLayer, match="candidate pairs"):
+        params.intensity(LayerSpec(h=1.01 * h_bound, delta=0.05, width=41.0))
+    # every layer with (2+delta) h <= 5 pi that the count bound admits passes
+    dense = PointProcessParams(rho=0.99)
+    for h in (2.5, 5.0, 7.6):
+        width = 0.9999 * geometry.MAX_EXPECTED_PARTICLES * math.pi / (dense.rho * h)
+        assert dense.intensity(LayerSpec(h=h, delta=0.05, width=width)) > 0.999e6
+
+
 def test_zero_density_gives_empty_configuration(small_layer):
     config = sample_matern(PointProcessParams(rho=0.0), small_layer, seed=3)
     assert config.is_empty

@@ -11,28 +11,6 @@ from helmlayer.geometry import lateral_delta
 from helmlayer.grid import dtn_multipliers
 
 
-def test_build_grid_interface_on_line():
-    grid = build_grid(10.0, 8.0, 0.1, interface_heights=(5.0,))
-    snap = grid.snaps[0]
-    assert snap.snapped == pytest.approx(5.0)
-    assert snap.distance == pytest.approx(0.0, abs=1e-12)
-    assert grid.j_of_height(snap.snapped) == snap.j_index
-    assert snap.j_index * grid.dy == pytest.approx(5.0)
-
-
-def test_build_grid_snaps_offset_interface():
-    grid = build_grid(10.0, 8.0, 0.1, interface_heights=(5.03,))
-    snap = grid.snaps[0]
-    assert snap.snapped == pytest.approx(5.0)
-    assert snap.distance == pytest.approx(0.03)
-    assert snap.distance < grid.dy / 2.0
-
-
-def test_build_grid_two_interfaces():
-    grid = build_grid(10.0, 8.0, 0.1, interface_heights=(6.0, 8.0))
-    assert [s.snapped for s in grid.snaps] == [pytest.approx(6.0), pytest.approx(8.0)]
-
-
 def test_grid_aspect_guard():
     from helmlayer import Grid
 

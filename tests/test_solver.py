@@ -13,7 +13,7 @@ from helmlayer import (DtnSpec, FactorTooLarge, LayerSpec, NoConvergence,
                        sample_matern, solve)
 from helmlayer import corrector, scattering, solver
 from helmlayer import grid as grid_module
-from helmlayer.assemble import DiscreteSystem, Sources, assemble
+from helmlayer.assemble import DiscreteSystem, assemble
 from helmlayer.corrector import CorrectorConfig, solve_w1
 from helmlayer.grid import dtn_apply, dtn_multipliers
 
@@ -28,9 +28,8 @@ def _identity_system():
 
 
 def _w1_system(config, width=20.0):
-    grid = build_grid(width, 12.0, 0.2, interface_heights=(7.0,))
-    return assemble(grid, classify_nodes(grid, config), DtnSpec(),
-                    sources=Sources(flux_jump_height=7.0))
+    grid = build_grid(width, 12.0, 0.2)
+    return assemble(grid, classify_nodes(grid, config), DtnSpec(), jump_row=35)  # y = 7
 
 
 def test_identity_rows_solution_equals_rhs():
@@ -83,7 +82,7 @@ def test_symmetric_ordering_cuts_fill(small_realization):
 def _nx20_system(dtn):
     grid = build_grid(4.0, 2.0, 0.2)
     return assemble(grid, classify_nodes(grid, None), dtn, gamma=1 + 1j,
-                    sources=Sources(top_forcing=np.ones(grid.nx)))
+                    top_forcing=np.ones(grid.nx))
 
 
 def _first_row_above_particles(mask):
@@ -132,7 +131,7 @@ def test_wide_cut_row_builds_no_dense_block():
     # at about 3.5 MB, under half of one float64 nx x nx array
     grid = build_grid(400.0, 2.0, 0.2)
     system = assemble(grid, classify_nodes(grid, None), DtnSpec(k=1.0, k1=0.3), gamma=1 + 1j,
-                      sources=Sources(top_forcing=np.ones(grid.nx)))
+                      top_forcing=np.ones(grid.nx))
     nx = grid.nx
     assert nx >= solver.INTERFACE_NX
     tracemalloc.start()
@@ -189,8 +188,7 @@ def _matern_w1_system(seed=1, width=20.0):
                           process=PointProcessParams("matern2", rho=0.4), target_dx=0.2)
     grid = cfg.cell_grid()
     mask = classify_nodes(grid, sample_matern(cfg.process, cfg.layer, seed, stream=0))
-    return assemble(grid, mask, DtnSpec(),
-                    sources=Sources(flux_jump_height=grid.snaps[0].snapped)), mask
+    return assemble(grid, mask, DtnSpec(), jump_row=cfg.jump_row), mask
 
 
 def _reference_system(process, dx):
