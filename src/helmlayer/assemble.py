@@ -15,7 +15,10 @@ counts give indptr, and every stencil slot goes straight to its final,
 column-sorted position. It also records the particle-free strip it wrote
 (`Strip`): the cut row j0 above the highest particle row and the
 coefficients of the uniform rows j0..ny-1, which the solver eliminates mode
-by mode.
+by mode. `strip_at` builds that record for any cut row of an empty cell and
+`bottom_row` gives the one-sided bottom row, so the c1 estimate's Green's
+table (`corrector`) reads the rows `assemble` writes rather than re-deriving
+them.
 Memory is O(nnz) with no triplet lists: the traced peak is about 1.4 times
 the returned matrix and rhs (1.6 times for a W1 cell). The quasi-momentum
 alpha (seam phase and modal map alike) is the closure's DtnSpec.k1. The
@@ -162,6 +165,20 @@ class DiscreteSystem:
         return full, rhs_ext, n_aux
 
 
+def bottom_row(grid: Grid, k: float = 0.0, gamma: complex = 0.0) -> tuple:
+    """The one-sided bottom row -du/dy + i k gamma u on rows 0, 1, 2, as
+    `assemble` writes it; at k = 0 the Robin term is a float zero, whatever gamma."""
+    return 1.5 / grid.dy + (1j * k * gamma if k else 0.0), -2.0 / grid.dy, 0.5 / grid.dy
+
+
+def strip_at(grid: Grid, j0: int, k: float = 0.0, dtype: type = np.float64) -> Strip:
+    """The particle-free strip from row j0 up, with wavenumber k, as `assemble`
+    writes it: its five-point rows and the one-sided top row."""
+    dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
+    return Strip(j0, *(dtype(v) for v in (2.0 / dx2 + 2.0 / dy2 - k * k, -1.0 / dx2, -1.0 / dy2,
+                                          -1.5 / grid.dy, 2.0 / grid.dy, -0.5 / grid.dy)))
+
+
 def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float,
                    offsets: np.ndarray) -> sp.csc_matrix:
     """`matrix` plus, on its last nx rows and columns, the phased circulant u ->
@@ -215,7 +232,7 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(top_forcing)
     dtype = np.float64 if real else np.complex128
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
-    dx2, dy2 = grid.dx * grid.dx, grid.dy * grid.dy
+    dx2 = grid.dx * grid.dx
     wrap_plus = np.exp(1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
     wrap_minus = np.exp(-1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
     dirichlet = mask.ravel()
@@ -242,17 +259,23 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     dir_idx = np.flatnonzero(dirichlet[:n - nx])
     put(indptr[dir_idx], dir_idx, 1.0)
 
+    # the strip: no particle node from row j0 up, and two rows or more under the top;
+    # its coefficients are those of every free interior row and of the top rows
+    rows = np.flatnonzero(mask.any(axis=1))
+    j0 = max(2, int(rows[-1]) + 1) if len(rows) else 2
+    uniform = strip_at(grid, j0, k, dtype)
+    strip = uniform if j0 <= ny - 3 else None
+
     # interior balance rows (j = 1 .. ny-2), columns ascending: down, left, centre, right,
     # up; on the seam i = 0: down, centre, right, left, up; i = nx-1: down, right, left, centre, up
     ridx = nx + np.flatnonzero(~dirichlet[nx:n - nx])
     first = indptr[ridx]
     lo, hi = ridx % nx == 0, ridx % nx == nx - 1
-    center = 2.0 / dx2 + 2.0 / dy2 - k * k
-    put(first, ridx - nx, -1.0 / dy2)
-    put(first + 2 - lo + hi, ridx, center)
-    put(first + 1 + 2 * lo + hi, ridx - 1 + nx * lo, np.where(lo, -wrap_minus / dx2, -1.0 / dx2))
-    put(first + 3 - lo - 2 * hi, ridx + 1 - nx * hi, np.where(hi, -wrap_plus / dx2, -1.0 / dx2))
-    put(first + 4, ridx + nx, -1.0 / dy2)
+    put(first, ridx - nx, uniform.b)
+    put(first + 2 - lo + hi, ridx, uniform.c)
+    put(first + 1 + 2 * lo + hi, ridx - 1 + nx * lo, np.where(lo, -wrap_minus / dx2, uniform.lat))
+    put(first + 3 - lo - 2 * hi, ridx + 1 - nx * hi, np.where(hi, -wrap_plus / dx2, uniform.lat))
+    put(first + 4, ridx + nx, uniform.b)
     if jump_row is not None:
         if not 0 < jump_row < ny - 1:
             raise InvalidExtent(f"flux jump row {jump_row} is not an interior row of 0..{ny - 1}")
@@ -263,30 +286,21 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     # Robin term is a complex zero, which a float64 system must not receive
     b_free = np.flatnonzero(~dirichlet[:nx])
     first = indptr[b_free]
-    put(first, b_free, 1.5 / grid.dy + (1j * k * gamma if k else 0.0))
-    put(first + 1, b_free + nx, -2.0 / grid.dy)
-    put(first + 2, b_free + 2 * nx, 0.5 / grid.dy)
+    for slot, val in enumerate(bottom_row(grid, k, gamma)):
+        put(first + slot, b_free + slot * nx, val)
 
     # top rows: one-sided -du/dy; the modal term Lambda u is added by matvec
     # and by the factored forms
     t_idx = np.arange(n - nx, n)
     first = indptr[n - nx:-1]
-    put(first, t_idx - 2 * nx, -0.5 / grid.dy)
-    put(first + 1, t_idx - nx, 2.0 / grid.dy)
-    put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 - 1.5 / grid.dy, -1.5 / grid.dy))
+    put(first, t_idx - 2 * nx, uniform.t2)
+    put(first + 1, t_idx - nx, uniform.t1)
+    put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 + uniform.t0, uniform.t0))
     if top_forcing is not None:
         g = np.asarray(top_forcing, dtype=dtype)
         if len(g) != nx:
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g
-
-    # the strip: no particle node from row j0 up, and two rows or more under the top
-    rows = np.flatnonzero(mask.any(axis=1))
-    j0 = max(2, int(rows[-1]) + 1) if len(rows) else 2
-    strip = None
-    if j0 <= ny - 3:
-        strip = Strip(j0, *(dtype(v) for v in (center, -1.0 / dx2, -1.0 / dy2, -1.5 / grid.dy,
-                                                2.0 / grid.dy, -0.5 / grid.dy)))
 
     import scipy.sparse as sp
 

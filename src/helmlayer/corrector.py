@@ -5,6 +5,19 @@ across the interface line above the layer. `CorrectorConfig` puts the jump
 on the grid row nearest the requested height H (`jump_row`); the lateral
 trace average at the cell top, moved from that row to H, is the
 per-realization sample of the effective coefficient c1.
+
+Two paths solve W1, and they agree to round-off. `estimate_c1` uses the
+capacitance-matrix method (Buzbee, Dorr, George & Golub 1971; Proskurowski &
+Widlund 1976) with numpy alone: it tabulates the inverse of the empty cell's
+operator once per estimate (`_GreenTable`), and each realization then needs
+one dense solve on the particles' boundary nodes, with the trace mean as one
+of its unknowns and no field formed. That dense solve grows as the cube of
+the boundary-node count, so a realization with more of them than the
+measured crossover, and every realization of a cell whose table would be too
+large, goes to `solve_w1` instead. `solve_w1` assembles the whole cell and
+solves it by SuperLU (`solver.solve`); it also serves the callers that need
+the field: the decay profile, the validation suite and the c1 study's single
+wide-cell rows. It is the capacitance sample's test oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import assemble
-from .errors import NoConvergence, NumericalFailure, SingularSystem
+from .assemble import Strip, assemble, bottom_row, strip_at
+from .errors import FactorTooLarge, NoConvergence, NumericalFailure, SingularSystem
 from .geometry import LayerSpec, ParticleConfiguration, PointProcessParams, sample_matern
-from .grid import DtnSpec, Grid, build_grid, classify_nodes
-from .solver import SolveReport, solve
+from .grid import DtnSpec, Grid, build_grid, classify_nodes, dtn_multipliers
+from .solver import TOL, SolveReport, solve, sweep_strip
 
 
 @dataclass(frozen=True)
@@ -32,10 +45,11 @@ class CorrectorConfig:
     target_dx in (0, 0.2] the spacing of both axes (10 nodes per particle
     diameter or more).
     Defaults: H = h + 2 and L_cell = H + width/4, so mode 1, the slowest
-    decaying lateral mode, decays by exp(-pi/2) across the buffer. The solver
-    eliminates the particle-free rows above the layer mode by mode, so a
-    buffer row costs O(nx) recursion work and one lateral FFT per sweep,
-    not factor fill.
+    decaying lateral mode, decays by exp(-pi/2) across the buffer. The
+    particle-free rows above the layer are eliminated mode by mode, so a
+    buffer row costs O(nx) recursion work: once per c1 estimate in its
+    Green's table, and in `solve_w1` one lateral FFT per sweep, not factor
+    fill.
     """
 
     layer: LayerSpec = field(default_factory=LayerSpec)
@@ -169,6 +183,140 @@ def solve_w1(cfg: CorrectorConfig, config: ParticleConfiguration) -> CorrectorSo
                              j_interface=j, solve_report=report)
 
 
+class _GreenTable:
+    """The empty cell's W1 operator A0 inverted once, for the capacitance c1 sample.
+
+    A0 is the W1 operator of the cell without particles, its mode-0
+    multiplier Lambda_0 = 0 replaced by ALPHA, which makes it regular. It is
+    diagonal in the lateral modes, so A0^-1 = G(i - i', j, j'), the lateral
+    inverse FFT of the per-mode inverses. Every particle row lies below
+    J = ceil(h/dy) + 1, and `g` holds G on rows and columns 0..J: per mode,
+    the strip above row J is eliminated by `solver.sweep_strip` and the
+    (J+1)-row remainder inverted. Only mode 0 meets the unit flux jump f and
+    the top-trace mean, so the full-height mode-0 inverse `g0` supplies its
+    columns at the jump row and the top row, and its top row.
+
+    `c1` solves one realization for a source sigma on the ring R, the
+    particle nodes with a free 4-neighbour, and w = mean(u_top), from
+    u = G(f + P_R sigma + ALPHA 1_top w) = 0 on R and mean(u_top) = w: a
+    dense system of |R| + 1 unknowns whose entries are table lookups. The
+    other particle nodes then come out exactly 0: they are discrete-harmonic
+    with zero values on R. A particle node on the jump row always has a free
+    node above it, so it is in R, and f needs no masking. The sample is
+    w + (H - jump_row dy); no field is formed.
+
+    The dense solve costs O(|R|^3) time and O(|R|^2) memory, `solve_w1`
+    about O(nx J): the assembled solve is the cheaper one above RING_MAX ring
+    nodes, and `c1` leaves such a realization to it. The measured crossover
+    (rho 0.4, dx 0.2, one BLAS thread) is about 1450 ring nodes at h 5, 1300
+    at h 10 and 560-700 at h 20 and h 50, and RING_MAX sits under all of
+    them; a finer grid or a sparser layer has fewer ring nodes per factored
+    unknown, which moves the crossover up. `build` makes no table of more
+    than MAX_ENTRIES entries of g (8 bytes each, about 3 times that while it
+    is built).
+    """
+
+    ALPHA = 1.0
+    RING_MAX = 500
+    MAX_ENTRIES = 1 << 22
+
+    def __init__(self, cfg: CorrectorConfig) -> None:
+        grid = self.grid = cfg.cell_grid()
+        nx, ny = grid.nx, grid.ny
+        self.jump, self.shift = cfg.jump_row, cfg.H - cfg.jump_row * grid.dy
+        rows = self.rows(cfg, grid)
+        strip = strip_at(grid, rows - 1)
+        # modes 0..nx//2 only: the per-mode operators are real and even in the mode
+        # index, so irfft of their inverses gives G
+        lam = dtn_multipliers(DtnSpec(), grid.width, nx)[:nx // 2 + 1].real
+        lam[0] = self.ALPHA
+        d = strip.c + 2.0 * strip.lat * np.cos(2.0 * np.pi * np.arange(len(lam)) / nx)
+        self.g0 = np.linalg.inv(_mode_operators(grid, strip, d[:1], lam[:1], ny)[0])
+        self.g = np.fft.irfft(np.linalg.inv(_mode_operators(grid, strip, d, lam, rows)),
+                              n=nx, axis=0)
+
+    @staticmethod
+    def rows(cfg: CorrectorConfig, grid: Grid) -> int:
+        """J + 1 = ceil(h/dy) + 2, the rows of g; every row when fewer than two
+        rows above J are left to eliminate."""
+        rows = math.ceil(cfg.layer.h / grid.dy) + 2
+        return grid.ny if rows > grid.ny - 2 else rows
+
+    @classmethod
+    def build(cls, cfg: CorrectorConfig) -> _GreenTable | None:
+        """The table of cfg's cell, or None when g would hold more than
+        MAX_ENTRIES entries; an allocation failure raises FactorTooLarge."""
+        grid = cfg.cell_grid()
+        if grid.nx * cls.rows(cfg, grid) ** 2 > cls.MAX_ENTRIES:
+            return None
+        try:
+            return cls(cfg)
+        except MemoryError as exc:
+            raise FactorTooLarge("no memory for the Green's table of the corrector cell") from exc
+
+    def c1(self, mask: np.ndarray) -> float | None:
+        """The c1 sample of the realization with particle mask `mask`, or None
+        when its ring holds more than RING_MAX nodes.
+
+        An empty ring raises SingularSystem (the true operator then has a
+        constant kernel), a dense-solve relative residual above solver.TOL
+        or a non-finite one NoConvergence, and an allocation failure
+        FactorTooLarge.
+        """
+        free = ~mask
+        ring = np.zeros_like(mask)  # rows 0 and ny-1 hold no particle node
+        ring[1:-1] = mask[1:-1] & (free[:-2] | free[2:] | np.roll(free[1:-1], 1, axis=1)
+                                   | np.roll(free[1:-1], -1, axis=1))
+        j, i = np.nonzero(ring)
+        n, nx = len(j), self.grid.nx
+        if n == 0:
+            raise SingularSystem("no particle node: the injected flux has no outlet")
+        if n > self.RING_MAX:
+            return None
+        g0, top, jump = self.g0, self.grid.ny - 1, self.jump
+        try:
+            m = np.empty((n + 1, n + 1))
+            m[:n, :n] = self.g[(i[:, None] - i) % nx, j[:, None], j]  # G_RR
+            m[:n, n] = self.ALPHA * g0[j, top]  # ALPHA (G 1_top)_R
+            m[n, :n] = g0[top, j] / nx  # mean_top(G e_r)
+            m[n, n] = self.ALPHA * g0[top, top] - 1.0
+            rhs = -np.append(g0[j, jump], g0[top, jump]) / self.grid.dy  # -(G f), f = 1/dy
+            x = np.linalg.solve(m, rhs)
+        except MemoryError as exc:
+            raise FactorTooLarge(f"no memory for the {n + 1}-unknown capacitance system") from exc
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"capacitance system: {exc}") from exc
+        res = float(np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs))
+        if not res <= TOL:  # also a non-finite solution
+            raise NoConvergence(f"capacitance residual {res:.3e} above tol {TOL:.1e}")
+        return x[-1].item() + self.shift
+
+
+def _mode_operators(grid: Grid, strip: Strip, d: np.ndarray, lam: np.ndarray,
+                    rows: int) -> np.ndarray:
+    """Rows and columns 0..rows-1 of the empty cell's W1 operator in each
+    lateral mode, shape (len(d), rows, rows): the top row with its multiplier
+    when rows == ny, else the strip above row rows-1 eliminated onto it.
+
+    d is the per-mode diagonal of the five-point rows and lam the top row's
+    multipliers; the row coefficients are `assemble`'s (`strip_at`,
+    `bottom_row` at k = 0).
+    """
+    ny = grid.ny
+    a = np.zeros((len(d), rows, rows))
+    k = np.arange(1, rows - 1)
+    a[:, k, k - 1] = a[:, k, k + 1] = strip.b
+    a[:, k, k] = d[:, None]
+    a[:, 0, :3] = bottom_row(grid)
+    if rows == ny:
+        a[:, -1, -3:-1] = strip.t2, strip.t1
+        a[:, -1, -1] = strip.t0 + lam
+    else:
+        a[:, -1, -2] = strip.b
+        a[:, -1, -1] = d + strip.b * sweep_strip(strip, ny, d, lam)[1][0]
+    return a
+
+
 def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
     """[fn(0), ..., fn(n-1)] in index order, on `threads` worker threads when > 1."""
     if threads > 1:
@@ -182,16 +330,25 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     """Monte-Carlo mean of the W1 trace average over independent realizations.
 
     Realization j always uses the RNG stream keyed by (master_seed, j), so
-    the estimate is independent of worker count and scheduling order. Fails
-    if more than 10% of the samples are singular or non-convergent.
+    the estimate is independent of worker count and scheduling order. A
+    sample is a capacitance solve on the Green's table (`_GreenTable`),
+    built here once, before the fan-out, read by every worker and released
+    on return; a realization with more than `_GreenTable.RING_MAX` ring
+    nodes, and every one of a cell whose table would exceed
+    `_GreenTable.MAX_ENTRIES`, is solved by `solve_w1` instead. Fails if
+    more than 10% of the samples are singular or non-convergent; an
+    allocation failure raises FactorTooLarge and is no failed sample.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 (std_err undefined otherwise)")
+    table = _GreenTable.build(cfg)
 
     def one(j: int) -> float | None:
         config = sample_matern(cfg.process, cfg.layer, master_seed, stream=j)
         try:
-            return solve_w1(cfg, config).c1
+            sample = None if table is None else table.c1(
+                classify_nodes(table.grid, config, scale=1.0))
+            return solve_w1(cfg, config).c1 if sample is None else sample
         except (SingularSystem, NoConvergence):
             return None
 

@@ -1,9 +1,12 @@
 """Direct SuperLU solve of the assembled systems, real or complex.
 
 SuperLU factors in the common dtype of the operator and the right-hand side:
-float64 for the real W1 corrector (k = 0) and complex128 for every other
-system (k > 0 or a seam phase, and a complex right-hand side a caller put on
-a real system).
+float64 for the real W1 corrector field of `corrector.solve_w1` (k = 0) and
+complex128 for every other system (k > 0 or a seam phase, and a complex
+right-hand side a caller put on a real system). A c1 sample reaches
+SuperLU only through `solve_w1`, when its particles' boundary is too large
+for the capacitance solve; the Green's table (`corrector`) shares only the
+strip recursion, `sweep_strip`.
 
 Only the particle band is factored. Above the particles every row of the
 assembled operator is the same five-point stencil across the grid, and the
@@ -12,14 +15,14 @@ modes, so in each mode m the particle-free strip is a scalar three-term
 recurrence. The cut row j0 and the strip's coefficients come from
 `assemble`, which wrote those rows (DiscreteSystem.strip): j0 is the row
 above the highest particle row, never below 2, so the one-sided bottom row
-stays out of the strip. A backward sweep over the strip rows, vectorised
-over the modes, eliminates them as v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0
-then carries the phased circulant b * P_{j0+1} (b = -1/dy^2, the vertical
-coupling) and its rhs the term -b * Q_{j0+1}, and only rows 0..j0 are
-solved. A forward
-sweep rebuilds the strip, so callers always get the full field. A system
-with no strip (fewer than two such rows under the top, or a system built by
-hand) keeps every row, and the circulant on the top row is the modal map
+stays out of the strip. A backward sweep over the strip rows
+(`sweep_strip`), vectorised over the modes, eliminates them as
+v_{j+1} = P_{j+1} v_j + Q_{j+1}; row j0 then carries the phased circulant
+b * P_{j0+1} (b = -1/dy^2, the vertical coupling) and its rhs the term
+-b * Q_{j0+1}, and only rows 0..j0 are solved. A forward sweep rebuilds
+the strip, so callers always get the full field. A system with no strip
+(fewer than two such rows under the top, or a system built by hand) keeps
+every row, and the circulant on the top row is the modal map
 itself: the same reduced system, with no sweep. A `local` edited after
 assembly no longer matches the strip; the refinement below, against the
 exact operator, then reaches TOL or raises, and never returns a wrong vector.
@@ -88,7 +91,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assemble import DiscreteSystem, with_circulant
+from .assemble import DiscreteSystem, Strip, with_circulant
 from .errors import FactorTooLarge, NoConvergence, SingularSystem
 from . import grid as _grid
 
@@ -110,6 +113,31 @@ class SolveReport:
 
     residual: float
     iterations: int
+
+
+def sweep_strip(strip: Strip, ny: int, d: np.ndarray,
+                lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward sweep over the strip rows j0+1..ny-1, one lateral mode per column.
+
+    d and lam are the per-mode diagonal of the five-point rows and the
+    multipliers of the top row. Returns den and p, row s of each belonging
+    to strip row j0+1+s: v_{j+1} = p v_j + q, den the pivot that q is
+    divided by; row j0 of the eliminated system gains b * p[0]. A zero or
+    non-finite denominator raises SingularSystem.
+    """
+    n_strip = ny - 1 - strip.j0
+    den = np.empty((n_strip, len(d)), dtype=np.result_type(d, lam))
+    p = np.empty_like(den)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # top row with row ny-2 folded in to drop its v_{ny-3} term
+        den[-1] = strip.t0 - strip.t2 + lam
+        p[-1] = (strip.t2 * d / strip.b - strip.t1) / den[-1]
+        for s in range(n_strip - 2, -1, -1):
+            den[s] = d + strip.b * p[s + 1]
+            p[s] = -strip.b / den[s]
+    if not np.isfinite(p).all():  # also a zero denominator: b != 0
+        raise SingularSystem("strip recursion met a zero or non-finite denominator")
+    return den, p
 
 
 class _Cut:
@@ -135,21 +163,10 @@ class _Cut:
         if system.strip is None:
             self.j0, self.symbol = grid.ny - 1, lam
             return
-        self.j0, c, lat, self.b, t0, t1, self.t2 = system.strip
+        self.j0, c, lat, self.b, _, _, self.t2 = system.strip
         zeta = 2.0 * np.pi * np.arange(grid.nx) / grid.width + k1
         d = c + 2.0 * lat * np.cos(zeta * grid.dx)
-        n_strip = grid.ny - 1 - self.j0
-        self.den = np.empty((n_strip, grid.nx), dtype=np.result_type(d, lam))
-        self.p = np.empty_like(self.den)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # top row with row ny-2 folded in to drop its v_{ny-3} term
-            self.den[-1] = t0 - self.t2 + lam
-            self.p[-1] = (self.t2 * d / self.b - t1) / self.den[-1]
-            for s in range(n_strip - 2, -1, -1):
-                self.den[s] = d + self.b * self.p[s + 1]
-                self.p[s] = -self.b / self.den[s]
-        if not np.isfinite(self.p).all():  # also a zero denominator: b != 0
-            raise SingularSystem("strip recursion met a zero or non-finite denominator")
+        self.den, self.p = sweep_strip(system.strip, grid.ny, d, lam)
         self.symbol = self.b * self.p[0]
 
     @property

@@ -91,14 +91,15 @@ def test_criterion_5_empty_layer_singularity():
     _report(5, raised, "solve_w1 on an empty configuration raises SingularSystem")
 
 
-def test_criterion_6_rate_reproduction_desk_scale():
+def test_criterion_6_rate_reproduction_desk_scale(tmp_path):
+    # a fresh output directory: c1 is estimated here, not read from an old c1_cache.json
     config = ExperimentConfig.from_dict({
         "scenario": "sweep",
         "geometry": {"h": 5.0, "delta": 0.05, "width": 100.0},
         "process": {"kind": "matern2", "rho": 0.4},
         "n_samples": 10,
         "master_seed": 20240801,
-        "output_dir": "/tmp/helmlayer_acceptance_sweep",
+        "output_dir": str(tmp_path / "sweep"),
     })
     targets = [e * config.wave.k2 for e in config.epsilon_list]
     assert targets == pytest.approx([0.2, 0.1, 0.05, 0.025])

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from helmlayer import (FactorTooLarge, LayerSpec, ParticleConfiguration,
-                       PointProcessParams, SingularSystem, sample_matern)
-from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, decay_profile,
-                                 estimate_c1, export_c1_history, solve_w1)
+                       PointProcessParams, SingularSystem, corrector, sample_matern)
+from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, _GreenTable,
+                                 decay_profile, estimate_c1, export_c1_history, solve_w1)
+from helmlayer.grid import classify_nodes
 
 
 def _cfg(layer, rho=0.3, **kw):
@@ -129,11 +129,8 @@ def test_estimate_c1_rejects_single_sample(small_layer):
 
 def test_estimate_c1_deterministic_across_threads(small_layer):
     cfg = _cfg(LayerSpec(h=5.0, delta=0.05, width=15.0), L_cell=12.0, H=7.0)
-    a = estimate_c1(cfg, 6, master_seed=42, threads=1)
-    b = estimate_c1(cfg, 6, master_seed=42, threads=4)
-    assert a.mean == b.mean
-    assert a.std_err == b.std_err
-    assert a.history == b.history
+    a, b, c = (estimate_c1(cfg, 6, master_seed=42, threads=t) for t in (1, 2, 4))
+    assert a == b == c  # every field, the history included, bit for bit
     assert a.ci95[0] <= a.mean <= a.ci95[1]
 
 
@@ -142,9 +139,101 @@ def test_estimate_c1_does_not_count_a_factor_too_large_as_a_failed_sample(small_
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(spla, "splu", out_of_memory)
-    with pytest.raises(FactorTooLarge):
-        estimate_c1(_cfg(small_layer), 4, master_seed=0, threads=2)
+    # the Green's table is inverted once per estimate (linalg.inv), and each
+    # realization's capacitance system solved once (linalg.solve)
+    for allocation in ("inv", "solve"):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, allocation, out_of_memory)
+            with pytest.raises(FactorTooLarge):
+                estimate_c1(_cfg(small_layer), 4, master_seed=0, threads=2)
+
+
+CAPACITANCE_RTOL = 1e-11
+
+
+def _capacitance_against_solve_w1(cfg, config):
+    table = _GreenTable(cfg)
+    sample = table.c1(classify_nodes(table.grid, config))
+    oracle = solve_w1(cfg, config).c1
+    assert abs(sample - oracle) <= CAPACITANCE_RTOL * abs(oracle)
+
+
+@pytest.mark.parametrize("width, seeds, target_dx", [
+    (20.0, range(1, 9), 0.2),
+    (50.0, range(1, 3), 0.2),
+    (20.0, range(1, 3), 0.1),
+    (20.3, range(1, 4), 0.2),  # nx = 102, dx = 0.199
+], ids=["w20", "w50", "dx0.1", "w20.3"])
+def test_capacitance_sample_matches_solve_w1(width, seeds, target_dx):
+    layer = LayerSpec(h=5.0, delta=0.05, width=width)
+    cfg = _cfg(layer, rho=0.4, target_dx=target_dx)
+    for seed in seeds:
+        _capacitance_against_solve_w1(cfg, sample_matern(cfg.process, layer, seed))
+
+
+@pytest.mark.parametrize("center", [(9.9, 2.5), (-10.0, 3.0), (0.3, 1.05)],
+                         ids=["seam-right", "seam-left", "row-1"])
+def test_capacitance_sample_matches_solve_w1_on_one_disk(small_layer, center):
+    # a disk across the seam, and one at the lowest admissible centre 1 + delta:
+    # it covers row 1, and the one-sided bottom row reads its row-2 interior nodes
+    config = ParticleConfiguration(np.array([center]), small_layer, seed=0)
+    cfg = _cfg(small_layer)
+    _capacitance_against_solve_w1(cfg, config)
+    mask = classify_nodes(cfg.cell_grid(), config)
+    assert mask[1].any() == (center[1] == 1.05)
+
+
+def test_capacitance_sample_keeps_every_row_under_a_low_cell_top():
+    # H just above the layer and the cell top two rows above it: no strip to
+    # eliminate, and a disk at the highest admissible centre h - 1 reaches the
+    # jump row (y = 5.0), whose particle nodes then belong to the ring
+    layer = LayerSpec(h=5.05, delta=0.05, width=12.0)
+    cfg = _cfg(layer, H=5.06, L_cell=5.4)
+    table = _GreenTable(cfg)
+    assert table.g.shape[1] == table.grid.ny
+    config = ParticleConfiguration(np.array([[0.0, 4.05], [4.0, 2.5]]), layer, seed=0)
+    assert classify_nodes(table.grid, config)[cfg.jump_row].any()
+    _capacitance_against_solve_w1(cfg, config)
+    _capacitance_against_solve_w1(cfg, sample_matern(cfg.process, layer, 3))
+
+
+def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_realization,
+                                                          monkeypatch):
+    cfg = _cfg(small_layer)
+    table = _GreenTable(cfg)
+    with pytest.raises(SingularSystem):
+        table.c1(classify_nodes(table.grid, empty_realization))
+    draw = corrector.sample_matern
+
+    def empty_stream_3(process, layer, seed, stream=0):
+        return empty_realization if stream == 3 else draw(process, layer, seed, stream=stream)
+
+    monkeypatch.setattr(corrector, "sample_matern", empty_stream_3)
+    est = estimate_c1(cfg, 10, master_seed=5, threads=2)
+    assert (est.n_samples, est.n_failures) == (9, 1)
+
+
+def test_estimate_c1_leaves_large_rings_and_tables_to_solve_w1(small_layer, monkeypatch):
+    # the dense solve grows as the cube of the ring: a realization with more
+    # than RING_MAX ring nodes, and every realization of a cell whose table
+    # would exceed MAX_ENTRIES entries, is solved by solve_w1
+    cfg = _cfg(small_layer)
+    table = _GreenTable(cfg)
+    realizations = [sample_matern(cfg.process, small_layer, 0, stream=j) for j in range(4)]
+    masks = [classify_nodes(table.grid, r) for r in realizations]
+    capacitance = [table.c1(mask) for mask in masks]
+    oracle = [solve_w1(cfg, r).c1 for r in realizations]
+    monkeypatch.setattr(_GreenTable, "RING_MAX", 120)  # the rings hold 104 to 182 nodes
+    routed = [table.c1(mask) is None for mask in masks]
+    assert any(routed) and not all(routed)
+    est = estimate_c1(cfg, 4, master_seed=0, threads=2)
+    assert [row[1] for row in est.history] == [
+        w1 if to_w1 else cap for cap, w1, to_w1 in zip(capacitance, oracle, routed)]
+    monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", table.g.size)
+    assert _GreenTable.build(cfg).g.size == table.g.size
+    monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", table.g.size - 1)
+    assert _GreenTable.build(cfg) is None
+    assert [row[1] for row in estimate_c1(cfg, 4, master_seed=0).history] == oracle
 
 
 def test_estimate_c1_grid_refinement_stability():

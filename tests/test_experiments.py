@@ -12,8 +12,11 @@ import pytest
 from helmlayer import (ConfigError, DegenerateFit, InvalidLayer, LayerSpec,
                        ParticleConfiguration, experiments, sample_matern, solve_w1)
 from helmlayer.cli import main
+from helmlayer.corrector import _GreenTable
 from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, obtain_c1,
                                    run_c1_study, run_validate)
+from helmlayer.grid import classify_nodes
+from tests.test_corrector import CAPACITANCE_RTOL
 
 
 def test_fit_rate_exact_slopes():
@@ -130,9 +133,14 @@ def test_c1_study_moves_every_sample_to_the_requested_interface(tmp_path):
     config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 12.0})
     est = run_c1_study(config)
     first = config.corrector_config()
-    w1 = solve_w1(first, sample_matern(first.process, first.layer, 77, stream=0))
+    realization = sample_matern(first.process, first.layer, 77, stream=0)
+    w1 = solve_w1(first, realization)
     assert w1.c1 == pytest.approx(w1.trace_mean + 0.1, abs=1e-12)
-    assert est.history[0][1] == w1.c1
+    # the estimate's samples come from the capacitance path, which agrees with
+    # solve_w1 to round-off
+    table = _GreenTable(first)
+    assert est.history[0][1] == table.c1(classify_nodes(table.grid, realization))
+    assert est.history[0][1] == pytest.approx(w1.c1, rel=CAPACITANCE_RTOL, abs=0.0)
     widest = config.corrector_config(width=96.0)
     w1 = solve_w1(widest, sample_matern(widest.process, widest.layer, 77, stream=0))
     last = (tmp_path / "out" / "c1_width.csv").read_text().splitlines()[-1]

@@ -1,5 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses, and
-only the sparse layer imports scipy, when it first builds or factors a system."""
+only the sparse layer imports scipy, when it first builds or factors a system
+(`solve_w1` and the reference solve; a c1 estimate whose rings stay under
+`RING_MAX` never does)."""
 
 import ast
 import os
@@ -92,8 +94,13 @@ _GEOMETRY_THEN_SOLVE = """
 import sys
 
 from helmlayer import (CorrectorConfig, ExperimentConfig, LayerSpec, PointProcessParams,
-                       check_hypotheses, sample_matern, solve_w1)
+                       check_hypotheses, estimate_c1, sample_matern, solve_w1)
 from helmlayer.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
 
 layer, process = LayerSpec(h=5.0, delta=0.05, width=12.0), PointProcessParams(rho=0.3)
 realization = sample_matern(process, layer, seed=1)
@@ -101,8 +108,10 @@ check_hypotheses(process, layer, n_samples=2, m=5.0)
 ExperimentConfig.from_dict({})
 cfg = CorrectorConfig(layer=layer, process=process)
 assert main(["--out", sys.argv[1], "sample"]) == 0
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-assert loaded == [], loaded
+assert scipy_modules() == [], scipy_modules()
+# the c1 estimate, the capacitance-matrix path, needs numpy only
+assert estimate_c1(cfg, 3, master_seed=1).n_failures == 0
+assert scipy_modules() == [], scipy_modules()
 solve_w1(cfg, realization)
 assert "scipy.sparse.linalg" in sys.modules
 """
