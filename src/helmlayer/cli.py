@@ -1,7 +1,7 @@
 """Command-line front end for the experiment scenarios.
 
-Exit codes: 0 success, 2 validation failure, 3 configuration error,
-4 numerical failure.
+Exit codes: 0 success, 2 validation failure, 3 configuration error
+(a command-line usage error included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ConfigError, HelmlayerError
 from .experiments import (ExperimentConfig, run_c1_study, run_corrector_profile,
@@ -24,8 +25,17 @@ COMMANDS = ("sample", "c1", "corrector-profile", "reference", "sweep",
             "validate", "report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 3), not argparse's exit 2,
+    which the exit-code table gives to a validation failure."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="helmlayer",
         description="Effective impedance models for thin random particle layers",
     )
@@ -34,8 +44,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="override output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker pool size for the c1 and sweep commands")
-    parser.add_argument("--recompute-c1", action="store_true",
-                        help="ignore the cached c1 value")
     parser.add_argument("command", choices=COMMANDS)
     return parser
 
@@ -59,7 +67,7 @@ def _cmd_report(config: ExperimentConfig) -> int:
     if not out.is_dir():
         print(f"no output directory {out}", file=sys.stderr)
         return EXIT_CONFIG
-    for name in ("provenance.json", "rates.json", "c1_cache.json"):
+    for name in ("provenance.json", "rates.json"):
         path = out / name
         if path.exists():
             print(f"== {name}")
@@ -73,8 +81,11 @@ def _cmd_report(config: ExperimentConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
     try:
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, not {args.threads}")
         config = _load_config(args)
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -96,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             path, r_ref = run_reference(config)
             print(f"r_ref = {r_ref.real:+.6f}{r_ref.imag:+.6f}j, wrote {path}")
         elif args.command == "sweep":
-            report = run_sweep(config, threads=args.threads,
-                               recompute_c1=args.recompute_c1)
+            report = run_sweep(config, threads=args.threads)
             for row in report.rows:
                 print(f"eps={row.epsilon:<10.6g} err1={row.err1_mean:.6g} "
                       f"err2={row.err2_mean:.6g} n={row.n}")

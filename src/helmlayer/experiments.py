@@ -217,45 +217,10 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _c1_cache_key(config: ExperimentConfig, n_c1: int) -> dict:
-    """Everything the cached c1 depends on. The height of the flux-jump row keys
-    out a cache written before c1 samples were moved to the requested height."""
-    cfg = config.corrector_config()
-    return {
-        "rho": config.process.rho,
-        "kind": config.process.kind,
-        "h": config.layer.h,
-        "delta": config.layer.delta,
-        "width": config.layer.width,
-        "target_dx": config.target_dx,
-        "master_seed": config.master_seed,
-        "n_samples": n_c1,
-        "H_snapped": cfg.jump_row * cfg.target_dx,
-    }
-
-
-def obtain_c1(config: ExperimentConfig, threads: int = 1,
-              recompute: bool = False) -> tuple[float, dict]:
-    """Monte-Carlo c1 for the config geometry, cached in the output directory."""
-    n_c1 = max(config.n_samples, 30)
-    key = _c1_cache_key(config, n_c1)
-    out = Path(config.output_dir)
-    cache_path = out / "c1_cache.json"
-    if cache_path.exists() and not recompute:
-        try:
-            cached = json.loads(cache_path.read_text())
-        except (OSError, ValueError):  # also a file that is not UTF-8
-            cached = None
-        mean = cached.get("mean") if isinstance(cached, dict) else None
-        # the cache writes a finite float mean; anything else is recomputed
-        if isinstance(mean, float) and math.isfinite(mean) and cached.get("key") == key:
-            return mean, cached
-    est = estimate_c1(config.corrector_config(), n_c1, config.master_seed, threads=threads)
-    record = {"key": key, "mean": est.mean, "std_err": est.std_err,
-              "ci95": list(est.ci95)}
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(record, cache_path)
-    return est.mean, record
+def _c1_record(est: C1Estimate) -> dict:
+    """The c1 estimate as provenance.json records it."""
+    return {"mean": est.mean, "std_err": est.std_err, "ci95": list(est.ci95),
+            "n_samples": est.n_samples}
 
 
 def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
@@ -288,9 +253,7 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
                                         config.master_seed, stream=0)
             value = solve_w1(cfg_w, realization).c1
             fh.write(f"{w * factor!r},1,{value!r},\n")
-    _write_json(_provenance(config, {"c1": {"mean": est.mean, "std_err": est.std_err,
-                                             "ci95": list(est.ci95)}}),
-                out / "provenance.json")
+    _write_json(_provenance(config, {"c1": _c1_record(est)}), out / "provenance.json")
     return est
 
 
@@ -312,20 +275,25 @@ def _epsilon_window(config: ExperimentConfig,
     return window, scene
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = None,
-              recompute_c1: bool = False) -> SweepReport:
+def run_sweep(config: ExperimentConfig, threads: int = 1,
+              c1: float | None = None) -> SweepReport:
     """Reference-versus-effective reflection errors over the epsilon list.
 
     For each epsilon and realization: solve the reference problem on the
     period cell (lateral sampling window T/epsilon in normalized units),
     extract r_ref, and accumulate |r_ref - r^1| and |r_ref - r^2|. Rows are
-    dropped when more than 10% of their samples fail. Writes sweep.csv,
-    rates.json, provenance.json.
+    dropped when more than 10% of their samples fail. Without a given c1,
+    the order-2 model's c1 is estimated from max(n_samples, 30) corrector
+    samples, and provenance.json records that estimate under "c1". Writes
+    sweep.csv, rates.json, provenance.json.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    c1_record = {}
     if c1 is None:
-        c1, _ = obtain_c1(config, threads=threads, recompute=recompute_c1)
+        est = estimate_c1(config.corrector_config(), max(config.n_samples, 30),
+                          config.master_seed, threads=threads)
+        c1, c1_record = est.mean, {"c1": _c1_record(est)}
     wave = config.wave
     rows: list[SweepRow] = []
     failures: list[str] = []
@@ -375,7 +343,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1, c1: float | None = Non
     if rates:
         _write_json(rates, out / "rates.json")
     prov = _provenance(config, {"c1_used": c1, "grids": grids_used,
-                                "failures": failures})
+                                "failures": failures, **c1_record})
     _write_json(prov, out / "provenance.json")
     return SweepReport(rows=rows, rates=rates, c1_used=c1, provenance=prov)
 

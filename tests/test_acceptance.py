@@ -92,7 +92,6 @@ def test_criterion_5_empty_layer_singularity():
 
 
 def test_criterion_6_rate_reproduction_desk_scale(tmp_path):
-    # a fresh output directory: c1 is estimated here, not read from an old c1_cache.json
     config = ExperimentConfig.from_dict({
         "scenario": "sweep",
         "geometry": {"h": 5.0, "delta": 0.05, "width": 100.0},
@@ -112,7 +111,8 @@ def test_criterion_6_rate_reproduction_desk_scale(tmp_path):
                      for r in report.rows)
     _report(6, ok,
             f"rate1 = {rate1:.3f} (in [0.7, 1.3]), rate2 = {rate2:.3f} (>= 1.1), "
-            f"order2 < order1 at every eps: {ordered}; {rows}; c1 = {report.c1_used:.4f}")
+            f"order2 < order1 at every eps: {ordered}; {rows}; c1 = {report.c1_used:.4f} "
+            f"(std_err {report.provenance['c1']['std_err']:.4f})")
 
 
 def test_criterion_7_c1_monte_carlo_statistics():

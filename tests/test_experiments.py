@@ -12,9 +12,9 @@ import pytest
 from helmlayer import (ConfigError, DegenerateFit, InvalidLayer, LayerSpec,
                        ParticleConfiguration, experiments, sample_matern, solve_w1)
 from helmlayer.cli import main
-from helmlayer.corrector import _GreenTable
-from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, obtain_c1,
-                                   run_c1_study, run_validate)
+from helmlayer.corrector import _GreenTable, estimate_c1
+from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, run_c1_study,
+                                   run_sweep, run_validate)
 from helmlayer.grid import classify_nodes
 from tests.test_corrector import CAPACITANCE_RTOL
 
@@ -163,62 +163,41 @@ def test_c1_study_reuses_its_estimate_for_the_configured_width(tmp_path, monkeyp
     assert rows[2] == f"10.0,4,{est.mean!r},{est.std_err!r}"
 
 
-def test_c1_cache_is_reused_only_under_a_matching_key(tmp_path, monkeypatch):
-    # h = 4.5: H = 6.5 snaps to the grid line 6.4
-    config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 5.0})
+def test_sweep_estimates_c1_itself_and_records_it_in_provenance(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = ExperimentConfig.from_dict({
+        "scenario": "sweep",
+        "geometry": {"h": 5.0, "delta": 0.05, "width": 5.0},
+        "process": {"kind": "matern2", "rho": 0.3},
+        "wave": {"k": 1.0, "theta": math.pi / 4.0},
+        "epsilon_list": [0.4],
+        "n_samples": 2,
+        "master_seed": 77,
+        "output_dir": str(out),
+    })
+    est = estimate_c1(config.corrector_config(), 30, 77)  # max(n_samples, 30) samples
+    expected = {"mean": est.mean, "std_err": est.std_err, "ci95": list(est.ci95),
+                "n_samples": est.n_samples}
     estimates = []
-    estimate_c1 = experiments.estimate_c1
 
     def counting_estimate_c1(*args, **kwargs):
         estimates.append(args)
         return estimate_c1(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "estimate_c1", counting_estimate_c1)
-    cache = tmp_path / "out" / "c1_cache.json"
-    mean, record = obtain_c1(config)
-    assert len(estimates) == 1 and json.loads(cache.read_text()) == record
-    assert obtain_c1(config) == (mean, record)
-    assert len(estimates) == 1
-    # a cache written before the closure kept every mode carries dtn_eta in its key
-    stale = dict(record, key=dict(record["key"], dtn_eta=1e-6), mean=mean + 1.0)
-    cache.write_text(json.dumps(stale))
-    assert obtain_c1(config) == (mean, record)
-    assert len(estimates) == 2 and json.loads(cache.read_text()) == record
-    # one written before c1 samples were moved from the snapped interface line to
-    # the requested H holds a mean 0.1 low here, under a key without the snapped height
-    assert record["key"]["H_snapped"] == pytest.approx(6.4)
-    old_key = {k: v for k, v in record["key"].items() if k != "H_snapped"}
-    cache.write_text(json.dumps(dict(record, key=old_key, mean=mean - 0.1)))
-    assert obtain_c1(config) == (mean, record)
-    assert len(estimates) == 3 and json.loads(cache.read_text()) == record
-    # valid JSON that is not an object, and a file that is not UTF-8, are
-    # unreadable caches: recomputed and rewritten
-    for text in (b"[1]", b"\xff"):
-        cache.write_bytes(text)
-        assert obtain_c1(config) == (mean, record)
-        assert json.loads(cache.read_text()) == record
-    assert len(estimates) == 5
-
-
-@pytest.mark.parametrize("mean", ["x", None, "nan", True, 3, float("nan"), float("inf"), "missing"])
-def test_c1_cache_without_a_finite_float_mean_is_recomputed(tmp_path, monkeypatch, mean):
-    config = _tiny_c1_config(tmp_path, geometry={"h": 4.5, "delta": 0.05, "width": 5.0})
-    estimates = []
-    estimate_c1 = experiments.estimate_c1
-
-    def counting_estimate_c1(*args, **kwargs):
-        estimates.append(args)
-        return estimate_c1(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "estimate_c1", counting_estimate_c1)
-    expected = obtain_c1(config)
-    cache = tmp_path / "out" / "c1_cache.json"
-    bad = {k: v for k, v in expected[1].items() if k != "mean"}
-    if mean != "missing":
-        bad["mean"] = mean
-    cache.write_text(json.dumps(bad))  # NaN and Infinity as JSON's extension literals
-    assert obtain_c1(config) == expected
-    assert len(estimates) == 2 and json.loads(cache.read_text()) == expected[1]
+    # a rerun into the same directory estimates c1 again and leaves no cache file
+    for runs in (1, 2):
+        report = run_sweep(config)
+        assert estimates == [(config.corrector_config(), 30, 77)] * runs
+        assert report.c1_used == est.mean
+        assert report.provenance["c1"] == expected
+        assert json.loads((out / "provenance.json").read_text())["c1"] == expected
+        assert sorted(p.name for p in out.iterdir()) == ["provenance.json", "sweep.csv"]
+    # a given c1 is used as it is: no estimate, and no c1 record rather than a zero one
+    report = run_sweep(config, c1=2.5)
+    assert len(estimates) == 2 and report.c1_used == 2.5
+    assert "c1" not in report.provenance
+    assert "c1" not in json.loads((out / "provenance.json").read_text())
 
 
 def test_validate_suite_passes():
@@ -322,6 +301,29 @@ def test_cli_rejects_out_of_range_settings_as_config_errors(tmp_path, capsys, us
     assert main(["--config", str(cfg), command]) == 3
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--recompute-c1", "sweep"],  # the flag of the deleted c1 cache
+    ["--bogus", "sample"],
+    ["--threads", "x", "sample"],
+    ["--threads", "0", "c1"],
+    ["--threads", "-3", "c1"],
+    ["bogus"],
+])
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys, argv):
+    # not argparse's exit 2, which is the validation-failure code
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *argv]) == 3
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def test_cli_rejects_a_non_periodic_layer(tmp_path, capsys):
