@@ -20,7 +20,7 @@ by mode. `strip_at` builds that record for any cut row of an empty cell and
 table (`corrector`) reads the rows `assemble` writes rather than re-deriving
 them.
 Memory is O(nnz) with no triplet lists: the traced peak is about 1.4 times
-the returned matrix and rhs (1.6 times for a W1 cell). The quasi-momentum
+the returned matrix and rhs, W1 cells included. The quasi-momentum
 alpha (seam phase and modal map alike) is the closure's DtnSpec.k1. The
 modal term is kept out of the sparse "local" matrix. The exact operator
 (matvec, residual) applies it through lateral FFTs (grid.dtn_apply). The
@@ -34,12 +34,9 @@ on narrow rows), and `materialize` the whole modal map on the top rows.
 coupled through the phased DFT of the top trace; the solver uses neither
 explicit form.
 
-A problem with k = 0, k1 = 0 and real top forcing (the W1 corrector) is
-real: no i k gamma Robin term, no seam phase, and real multipliers even in
-the mode index m. It is assembled in float64, and so is its materialized
-matrix (its bordered matrix is complex128). Every other system is
-complex128. Flattened node index: idx(i, j) = j*nx + i, so the top line is
-the final contiguous block of unknowns.
+Every system is assembled in complex128, the real W1 corrector (k = 0,
+k1 = 0, real data) included. Flattened node index: idx(i, j) = j*nx + i, so
+the top line is the final contiguous block of unknowns.
 
 scipy.sparse is imported inside the functions that build a sparse matrix,
 not at module level: importing the package, and every geometry, grid and
@@ -62,7 +59,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 class Strip(NamedTuple):
-    """The particle-free strip as `assemble` wrote it, in the operator's dtype.
+    """The particle-free strip as `assemble` wrote it (complex128; `strip_at`
+    builds it in any dtype).
 
     Rows j0..ny-2 are the five-point row b, lat, c, lat, b (down, left,
     centre, right, up; the seam entries carry exp(-+i k1 width)), and the top
@@ -96,11 +94,6 @@ class DiscreteSystem:
     strip: Strip | None = None
 
     @property
-    def real(self) -> bool:
-        """True for a float64 operator, whose multipliers are real and even in m."""
-        return not np.iscomplexobj(self.local)
-
-    @property
     def n(self) -> int:
         return self.grid.n_nodes
 
@@ -111,8 +104,7 @@ class DiscreteSystem:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact operator: the sparse part plus the modal map through lateral FFTs."""
         y = self.local @ x
-        modal = dtn_apply(self.dtn, self.grid.width, x[self.top])
-        y[self.top] += modal if np.iscomplexobj(y) else modal.real
+        y[self.top] += dtn_apply(self.dtn, self.grid.width, x[self.top])
         return y
 
     def residual(self, x: np.ndarray) -> float:
@@ -127,8 +119,7 @@ class DiscreteSystem:
         rows (`with_circulant`, the solver's builder): a test oracle."""
         nx = self.grid.nx
         lam = dtn_multipliers(self.dtn, self.grid.width, nx)
-        return with_circulant(self.local, lam.real if self.real else lam, self.dtn.k1,
-                              self.grid.dx, circulant_offsets(nx))
+        return with_circulant(self.local, lam, self.dtn.k1, self.grid.dx, circulant_offsets(nx))
 
     def bordered(self) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Exact bordered form with one auxiliary unknown per nonzero multiplier.
@@ -190,8 +181,6 @@ def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float
 
     n, nx = matrix.shape[0], len(symbol)
     kernel = np.fft.ifft(symbol)
-    if np.isrealobj(symbol):
-        kernel = kernel.real
     col = np.arange(nx)[:, None]
     rows = np.sort((col + offsets) % nx, axis=1)  # column l's rows, ascending
     true = np.arange(1 - nx, nx)  # every true column offset i - l
@@ -223,18 +212,15 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
 
     top_forcing : data g of the top (modal closure) rows.
 
-    Operator and rhs are float64 when k = 0, k1 = 0 and the top forcing is
-    real, and complex128 otherwise.
+    Operator and rhs are complex128.
     """
     if mask.shape != (grid.ny, grid.nx):
         raise ShapeMismatch("particle mask does not match the grid")
     k = dtn.k
-    real = k == 0.0 and dtn.k1 == 0.0 and not np.iscomplexobj(top_forcing)
-    dtype = np.float64 if real else np.complex128
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     dx2 = grid.dx * grid.dx
-    wrap_plus = np.exp(1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
-    wrap_minus = np.exp(-1j * dtn.k1 * grid.width) if dtn.k1 != 0.0 else 1.0
+    wrap_plus = np.exp(1j * dtn.k1 * grid.width)
+    wrap_minus = np.exp(-1j * dtn.k1 * grid.width)
     dirichlet = mask.ravel()
 
     # entries per row: 5 on a free interior node, 3 on a free bottom node and on every
@@ -248,8 +234,8 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts, dtype=index, out=indptr[1:])
     indices = np.zeros(nnz, dtype=index)  # an unfilled slot must not index out of range
-    data = np.empty(nnz, dtype=dtype)
-    rhs = np.zeros(n, dtype=dtype)
+    data = np.empty(nnz, dtype=complex)
+    rhs = np.zeros(n, dtype=complex)
 
     def put(slot: np.ndarray, col: np.ndarray, val) -> None:
         indices[slot] = col
@@ -263,7 +249,7 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     # its coefficients are those of every free interior row and of the top rows
     rows = np.flatnonzero(mask.any(axis=1))
     j0 = max(2, int(rows[-1]) + 1) if len(rows) else 2
-    uniform = strip_at(grid, j0, k, dtype)
+    uniform = strip_at(grid, j0, k, np.complex128)
     strip = uniform if j0 <= ny - 3 else None
 
     # interior balance rows (j = 1 .. ny-2), columns ascending: down, left, centre, right,
@@ -282,8 +268,7 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
         jump_idx = jump_row * nx + np.arange(nx)
         jump_idx = jump_idx[~dirichlet[jump_idx]]
         rhs[jump_idx] += 1.0 / grid.dy
-    # bottom rows: one-sided second-order -du/dy + i k gamma u; at k = 0 the
-    # Robin term is a complex zero, which a float64 system must not receive
+    # bottom rows: one-sided second-order -du/dy + i k gamma u
     b_free = np.flatnonzero(~dirichlet[:nx])
     first = indptr[b_free]
     for slot, val in enumerate(bottom_row(grid, k, gamma)):
@@ -297,7 +282,7 @@ def assemble(grid: Grid, mask: np.ndarray, dtn: DtnSpec, gamma: complex = 0.0, *
     put(first + 1, t_idx - nx, uniform.t1)
     put(first + 2, t_idx, np.where(dirichlet[n - nx:], 1.0 + uniform.t0, uniform.t0))
     if top_forcing is not None:
-        g = np.asarray(top_forcing, dtype=dtype)
+        g = np.asarray(top_forcing, dtype=complex)
         if len(g) != nx:
             raise ShapeMismatch("top forcing does not match the grid")
         rhs[t_idx] = g

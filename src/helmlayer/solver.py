@@ -1,12 +1,11 @@
-"""Direct SuperLU solve of the assembled systems, real or complex.
+"""Direct SuperLU solve of the assembled systems, in complex128.
 
-SuperLU factors in the common dtype of the operator and the right-hand side:
-float64 for the real W1 corrector field of `corrector.solve_w1` (k = 0) and
-complex128 for every other system (k > 0 or a seam phase, and a complex
-right-hand side a caller put on a real system). A c1 sample reaches
-SuperLU only through `solve_w1`, when its particles' boundary is too large
-for the capacitance solve; the Green's table (`corrector`) shares only the
-strip recursion, `sweep_strip`.
+Every system is solved in complex128: the Helmholtz reference solve, and the
+real W1 corrector (k = 0), whose field `corrector.solve_w1` takes as the
+real part of the solution. A c1 sample reaches SuperLU only through
+`solve_w1`, when its particles' boundary is too large for the capacitance
+solve; the Green's table (`corrector`) shares only the strip recursion,
+`sweep_strip`.
 
 Only the particle band is factored. Above the particles every row of the
 assembled operator is the same five-point stencil across the grid, and the
@@ -42,31 +41,38 @@ preconditioned per mode by row j0's block; iterations in brackets, and the
 relative residual before refinement:
 
     system                               nx   earlier form    this form       residual
-    W1 cell, width 20                   100    13 ms           13 ms (0)      6.1e-14
+    W1 cell, width 20 *                 100    13 ms           13 ms (0)      6.1e-14
     Helmholtz, period 50, k2 eps 0.2    221    49 ms           43 ms (16)     2.6e-13
     Helmholtz, period 50, k2 eps 0.1    442   112 ms           82 ms (18)     8.0e-13
     Helmholtz, period 50, k2 eps 0.05   884   326 ms (47)     204 ms (20)     2.5e-12
     Helmholtz, period 50, k2 eps 0.025 1768   620 ms (48)     437 ms (21)     9.1e-12
-    W1 cell, width 400                 2000   607 ms (51)     395 ms (21)     2.2e-13
+    W1 cell, width 400 *               2000   607 ms (51)     395 ms (21)     2.2e-13
     Helmholtz, period 100, k2 eps 0.025 3536  1.62 s (52)     0.95 s (22)     1.2e-11
+
+* Timed as real solves. Both W1 rows are complex solves now: in one session
+  (seed-1 Matern cells, rho 0.4), 7.2-10.9 against 8.7-10.1 ms real at
+  width 20, and 432-479 against 276-445 ms at width 400, with the same
+  iterations and residuals 6.3e-14 and 2.2e-13.
 
 The band overtakes the whole circulant between nx 160 and 200 (W1 cells of
 width 30 and 40, a Helmholtz cell at nx 160). The unrefined residual follows
 the grid spacing, not the width: x3.5 per halving of the Helmholtz dx, x1.4
-from period 50 to 100. GMRES runs in the factor's dtype to GMRES_TOL
-relative to its right-hand side, and raises NoConvergence after
-GMRES_MAX_ITER iterations. SuperLU's panel of 4 columns holds the nx-1768
-factor's memory growth to 15 MB against 36 MB at the default, no slower.
+from period 50 to 100. GMRES runs to GMRES_TOL relative to its right-hand
+side, and raises NoConvergence after GMRES_MAX_ITER iterations. SuperLU's
+panel of 4 columns holds the nx-1768 factor's memory growth to 15 MB against
+36 MB at the default, no slower.
 
 Up to two steps of iterative refinement against the exact operator on the
 full grid, which applies the modal map through its own FFT code, bring the
 residual under TOL; each refinement residual is reduced by the same sweep
-and solved in the same form. An exactly zero pivot, a constant kernel or a
-zero or non-finite denominator of the strip recursion raises
-SingularSystem; a residual that stays above TOL (or is not finite), or a
-cut-row GMRES that does not converge, raises NoConvergence; an allocation
-failure while building or factoring the reduced matrix raises
-FactorTooLarge.
+and solved in the same form. An exactly zero pivot or a zero or non-finite
+denominator of the strip recursion raises SingularSystem; a residual that
+stays above TOL (or is not finite), or a cut-row GMRES that does not
+converge, raises NoConvergence; an allocation failure while building or
+factoring the reduced matrix raises FactorTooLarge. The solver knows no
+problem-specific kernel: the one singular assembled problem, W1 on a cell
+without particles (a constant kernel), ends in one of these errors, and
+`corrector.solve_w1` rejects it before assembly.
 
 SuperLU factors in symmetric mode: a multiple-minimum-degree ordering of
 A^T + A applied to rows and columns alike, with diagonal pivots, which about
@@ -152,13 +158,10 @@ class _Cut:
     def __init__(self, system: DiscreteSystem) -> None:
         grid = system.grid
         self.local, self.nx = system.local.tocsr(), grid.nx
-        self.dtype = np.result_type(self.local.dtype, system.rhs.dtype)
         k1 = self.k1 = system.dtn.k1
         self.dx = grid.dx
         self.phase = np.exp(1j * k1 * grid.x_nodes()) if k1 != 0.0 else None
         lam = _grid.dtn_multipliers(system.dtn, grid.width, grid.nx)
-        if system.real:
-            lam = lam.real
         self.p = None
         if system.strip is None:
             self.j0, self.symbol = grid.ny - 1, lam
@@ -181,7 +184,7 @@ class _Cut:
         rows = np.fft.ifft(hat, axis=-1)
         if self.phase is not None:
             rows *= self.phase
-        return rows.real if self.dtype == np.float64 else rows
+        return rows
 
     @property
     def offsets(self) -> np.ndarray:
@@ -194,14 +197,14 @@ class _Cut:
         n = self.n
         try:
             return with_circulant(self.local[:n, :n], self.symbol, self.k1, self.dx,
-                                  self.offsets).astype(self.dtype, copy=False)
+                                  self.offsets)
         except MemoryError as exc:
             raise FactorTooLarge(f"no memory for the {n}-unknown reduced matrix") from exc
 
     def reduce(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Rhs of rows 0..j0 with the strip folded in, and the strip's q terms."""
         nx, n = self.nx, self.n
-        out = rhs[:n].astype(self.dtype)
+        out = rhs[:n].astype(complex)
         if self.p is None:
             return out, None
         r = self._to_modes(rhs[n:].reshape(-1, nx))
@@ -243,7 +246,7 @@ class _Cut:
         tail = np.fft.fft(dropped)
 
         def lift(u: np.ndarray) -> np.ndarray:  # M^-1 P^T E u
-            e = np.zeros(n, dtype=self.dtype)
+            e = np.zeros(n, dtype=complex)
             e[-nx:] = self._from_modes(tail * self._to_modes(u))
             return lu.solve(e)
 
@@ -311,36 +314,25 @@ def _factorize(matrix: sp.csc_matrix) -> spla.SuperLU:
                              f"unknowns ({matrix.nnz} entries)") from exc
 
 
-def _kernel_check(system: DiscreteSystem) -> bool:
-    """True when the constant vector is numerically in the kernel."""
-    ones = np.ones(system.n, dtype=complex) / np.sqrt(system.n)
-    scale = float(np.abs(system.local.diagonal()).max())
-    return float(np.linalg.norm(system.matvec(ones))) < 1e-10 * scale
-
-
 def solve(system: DiscreteSystem) -> tuple[np.ndarray, SolveReport]:
     """Solve the system to TOL relative residual.
 
-    Raises SingularSystem on rank deficiency (never returns a garbage
-    vector), NoConvergence when refinement leaves the residual above TOL or
-    the cut-row GMRES does not converge, and FactorTooLarge when the
-    factor cannot be allocated.
+    Never returns a garbage vector: raises SingularSystem on an exactly zero
+    pivot or strip denominator, NoConvergence when refinement leaves the
+    residual above TOL (a numerically singular system included) or the
+    cut-row GMRES does not converge, and FactorTooLarge when the factor
+    cannot be allocated.
     """
     cut = _Cut(system)
     reduced = cut.solver()
-    x, iterations, res = np.zeros(system.n, dtype=cut.dtype), 0, np.inf
-    try:
-        for _ in range(3):  # the solve and up to two refinement steps, against the exact operator
-            if res <= TOL:
-                break
-            r, q = cut.reduce(system.rhs - system.matvec(x))
-            v, its = reduced(r)
-            x, iterations = x + cut.extend(v, q), iterations + its
-            res = system.residual(x)
-        if not res <= TOL:  # also catches a NaN residual
-            raise NoConvergence(f"residual {res:.3e} above tol {TOL:.1e}")
-    except NoConvergence as exc:
-        if _kernel_check(system):
-            raise SingularSystem(f"constant kernel detected: {exc}") from exc
-        raise
+    x, iterations, res = np.zeros(system.n, dtype=complex), 0, np.inf
+    for _ in range(3):  # the solve and up to two refinement steps, against the exact operator
+        if res <= TOL:
+            break
+        r, q = cut.reduce(system.rhs - system.matvec(x))
+        v, its = reduced(r)
+        x, iterations = x + cut.extend(v, q), iterations + its
+        res = system.residual(x)
+    if not res <= TOL:  # also catches a NaN residual
+        raise NoConvergence(f"residual {res:.3e} above tol {TOL:.1e}")
     return x, SolveReport(residual=res, iterations=iterations)

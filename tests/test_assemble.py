@@ -123,7 +123,7 @@ FACTORED_FORM_CASES = pytest.mark.parametrize(
 def test_materialized_matches_matrix_free(make_system):
     system = make_system()
     full = system.materialize()
-    assert full.dtype == system.local.dtype
+    assert full.dtype == system.local.dtype == np.complex128
     rng = np.random.default_rng(5)
     x = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
     y = full @ x
@@ -132,35 +132,29 @@ def test_materialized_matches_matrix_free(make_system):
     circ = (y - system.local @ x)[system.top]
     assert np.linalg.norm(circ - modal) <= 1e-12 * np.linalg.norm(modal)
     assert np.abs(y - system.matvec(x)).max() < 1e-10
-    if system.real:  # a real vector keeps the exact operator real
-        y_real = system.matvec(x.real)
-        assert y_real.dtype == np.float64
-        assert np.linalg.norm((y_real - system.local @ x.real)[system.top] - modal.real) \
-            <= 1e-12 * np.linalg.norm(modal)
 
 
 def _dense_circulant(symbol, k1, dx):
     """B[i, l] = ifft(symbol)[(i - l) % nx] exp(i k1 dx (i - l)), every entry."""
     nx = len(symbol)
     kernel = np.fft.ifft(symbol)
-    if np.isrealobj(symbol):
-        kernel = kernel.real
     d = np.subtract.outer(np.arange(nx), np.arange(nx))
     return kernel[d % nx] * np.exp(1j * k1 * dx * d) if k1 != 0.0 else kernel[d % nx]
 
 
-def _symbol(nx, k1):
+def _symbol(nx):
     rng = np.random.default_rng(nx)
-    return rng.normal(size=nx) + 1j * rng.normal(size=nx) if k1 else rng.normal(size=nx)
+    return rng.normal(size=nx) + 1j * rng.normal(size=nx)
 
 
 @pytest.mark.parametrize("nx", [20, 21])
 @pytest.mark.parametrize("k1", [0.0, math.sin(math.pi / 4.0)])
 def test_circulant_builder_at_full_width_is_the_dense_circulant(nx, k1):
-    symbol, dx = _symbol(nx, k1), 0.2
+    # k1 = 0: no seam phase, the kernel entries as they are
+    symbol, dx = _symbol(nx), 0.2
     out = with_circulant(sp.csr_matrix((nx + 3, nx + 3)), symbol, k1, dx,
                          circulant_offsets(nx)).toarray()
-    assert out.dtype == (np.float64 if k1 == 0.0 else np.complex128)
+    assert out.dtype == np.complex128
     assert not out[:3].any() and not out[:, :3].any()
     assert np.array_equal(out[3:, 3:], _dense_circulant(symbol, k1, dx))
 
@@ -173,7 +167,7 @@ def test_circulant_band_keeps_each_offset_once(nx, half_width):
     offsets = circulant_offsets(nx, half_width)
     assert len(offsets) == min(2 * half_width + 1, 2 * ((nx - 1) // 2) + 1)
     assert len(np.unique(offsets % nx)) == len(offsets)
-    symbol = _symbol(nx, k1)
+    symbol = _symbol(nx)
     band = with_circulant(sp.csr_matrix((nx, nx)), symbol, k1, dx, offsets)
     assert band.nnz == len(offsets) * nx
     d = np.subtract.outer(np.arange(nx), np.arange(nx))
@@ -198,27 +192,26 @@ def test_bordered_matches_matrix_free(make_system):
     assert np.abs(out - system.matvec(x)).max() < 1e-10
 
 
-def test_operator_dtype_follows_the_problem():
+def test_every_operator_is_complex128():
     grid = build_grid(10.0, 8.0, 0.2)
     mask = classify_nodes(grid, None)
     w1 = assemble(grid, mask, DtnSpec(), jump_row=20)
-    assert (w1.local.dtype, w1.rhs.dtype) == (np.float64, np.float64)
-    # k = 0 and real data: the Robin coefficient i k gamma vanishes, the system stays real
+    # k = 0 and real data: the Robin coefficient i k gamma vanishes, every value stays real
     robin_at_rest = assemble(grid, mask, DtnSpec(), gamma=1 + 1j, top_forcing=np.ones(grid.nx))
-    assert (robin_at_rest.local.dtype, robin_at_rest.rhs.dtype) == (np.float64, np.float64)
+    for system in (w1, robin_at_rest):
+        assert not system.local.data.imag.any() and not system.rhs.imag.any()
+        assert not system.strip.c.imag and not system.strip.t0.imag
     g = np.full(grid.nx, 1.0 - 1.0j)
     forced = assemble(grid, mask, DtnSpec(), top_forcing=g)
     assert np.array_equal(forced.rhs[forced.top], g)
     k, k1 = 1.0, math.sin(math.pi / 4.0)
-    complex_systems = [
-        forced,  # W1's operator, but complex data
-        assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j),
-        assemble(grid, mask, DtnSpec(k=k)),  # gamma = 0: a Neumann bottom
-        assemble(grid, mask, DtnSpec(k1=k1)),  # k = 0 with a seam phase
-    ]
-    for system in complex_systems:
+    for system in (w1, robin_at_rest, forced,
+                   assemble(grid, mask, DtnSpec(k=k, k1=k1), gamma=1 + 1j),
+                   assemble(grid, mask, DtnSpec(k=k)),  # gamma = 0: a Neumann bottom
+                   assemble(grid, mask, DtnSpec(k1=k1))):  # k = 0 with a seam phase
         assert (system.local.dtype, system.rhs.dtype) == (np.complex128, np.complex128)
-        assert system.bordered()[0].dtype == np.complex128
+        assert all(np.asarray(v).dtype == np.complex128 for v in system.strip[1:])
+        assert system.materialize().dtype == system.bordered()[0].dtype == np.complex128
 
 
 def _coo_reference(grid, mask, dtn, dtype, gamma=0.0, jump_row=None, top_forcing=None):

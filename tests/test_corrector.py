@@ -85,8 +85,13 @@ def test_trace_mean_stable_under_refinement(small_layer, small_realization):
     assert abs(coarse.trace_mean - fine.trace_mean) < 0.02 * abs(fine.trace_mean)
 
 
-def test_empty_configuration_is_singular(small_layer, empty_realization):
-    with pytest.raises(SingularSystem):
+def test_empty_configuration_is_singular(small_layer, empty_realization, monkeypatch):
+    # rejected before assembly, by the rule the capacitance sample applies to an empty ring
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_w1 assembled an empty cell")
+
+    monkeypatch.setattr(corrector, "assemble", refused)
+    with pytest.raises(SingularSystem, match="no particle node"):
         solve_w1(_cfg(small_layer, rho=0.0), empty_realization)
 
 
@@ -131,7 +136,8 @@ def test_estimate_c1_deterministic_across_threads(small_layer):
     cfg = _cfg(LayerSpec(h=5.0, delta=0.05, width=15.0), L_cell=12.0, H=7.0)
     a, b, c = (estimate_c1(cfg, 6, master_seed=42, threads=t) for t in (1, 2, 4))
     assert a == b == c  # every field, the history included, bit for bit
-    assert a.ci95[0] <= a.mean <= a.ci95[1]
+    assert a.ci95 == (a.mean - 1.96 * a.std_err, a.mean + 1.96 * a.std_err)
+    assert a.ci95[0] < a.mean < a.ci95[1]
 
 
 def test_estimate_c1_does_not_count_a_factor_too_large_as_a_failed_sample(small_layer,
@@ -197,19 +203,32 @@ def test_capacitance_sample_keeps_every_row_under_a_low_cell_top():
     _capacitance_against_solve_w1(cfg, sample_matern(cfg.process, layer, 3))
 
 
-def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_realization,
-                                                          monkeypatch):
-    cfg = _cfg(small_layer)
-    table = _GreenTable(cfg)
-    with pytest.raises(SingularSystem):
-        table.c1(classify_nodes(table.grid, empty_realization))
+def _estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch):
     draw = corrector.sample_matern
 
     def empty_stream_3(process, layer, seed, stream=0):
         return empty_realization if stream == 3 else draw(process, layer, seed, stream=stream)
 
     monkeypatch.setattr(corrector, "sample_matern", empty_stream_3)
-    est = estimate_c1(cfg, 10, master_seed=5, threads=2)
+    return estimate_c1(cfg, 10, master_seed=5, threads=2)
+
+
+def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_realization,
+                                                          monkeypatch):
+    cfg = _cfg(small_layer)
+    table = _GreenTable(cfg)
+    with pytest.raises(SingularSystem):
+        table.c1(classify_nodes(table.grid, empty_realization))
+    est = _estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch)
+    assert (est.n_samples, est.n_failures) == (9, 1)
+
+
+def test_empty_realization_is_a_failed_solve_w1_sample(small_layer, empty_realization,
+                                                       monkeypatch):
+    # with no Green's table every sample goes to solve_w1, which rejects the
+    # empty realization: a failed sample, not a crash
+    monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", 0)
+    est = _estimate_with_stream_3_empty(_cfg(small_layer), empty_realization, monkeypatch)
     assert (est.n_samples, est.n_failures) == (9, 1)
 
 

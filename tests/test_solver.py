@@ -43,27 +43,26 @@ def test_identity_rows_solution_equals_rhs():
     assert report.residual <= 1e-12
 
 
-def test_empty_w1_raises_singular_direct(empty_realization):
+@pytest.mark.parametrize("interface_nx", [solver.INTERFACE_NX, 0], ids=["whole", "banded"])
+def test_empty_w1_system_raises_a_typed_error(empty_realization, monkeypatch, interface_nx):
+    # W1 without particles has a constant kernel, which solve knows nothing
+    # of: it raises a typed error in both cut-row forms and returns no vector
+    # (in the banded form the factor is regular, and the dropped tail of the
+    # circulant restores the kernel)
+    monkeypatch.setattr(solver, "INTERFACE_NX", interface_nx)
     system = _w1_system(empty_realization)
-    with pytest.raises(SingularSystem):
+    assert (system.grid.nx >= solver.INTERFACE_NX) == (interface_nx == 0)
+    with pytest.raises((SingularSystem, NoConvergence)):
         solve(system)
 
 
-def test_empty_w1_raises_singular_through_the_interface_form(empty_realization, monkeypatch):
-    # the banded factor is regular; the dropped tail of the circulant restores
-    # the constant kernel
-    monkeypatch.setattr(solver, "INTERFACE_NX", 0)
-    with pytest.raises(SingularSystem, match="constant kernel"):
-        solve(_w1_system(empty_realization))
-
-
-def test_near_singular_w1_raises_singular(empty_realization):
+def test_near_singular_w1_raises_no_convergence(empty_realization):
     # the constant kernel lifted by a tiny diagonal shift: the factor succeeds
-    # with no vanishing pivot, so only refinement and the kernel check see it
+    # with no vanishing pivot, so only refinement sees it
     system = _w1_system(empty_realization)
     scale = float(np.abs(system.local.diagonal()).max())
     system.local = (system.local + 1e-13 * scale * sp.identity(system.n, format="csr")).tocsr()
-    with pytest.raises(SingularSystem, match="constant kernel"):
+    with pytest.raises(NoConvergence, match="above tol"):
         solve(system)
 
 
@@ -455,9 +454,19 @@ def test_residual_contract_per_solve(small_realization):
     assert system.residual(x) == pytest.approx(report.residual)
 
 
-def test_w1_solution_is_real(small_realization):
+def test_w1_solution_is_real(small_realization, monkeypatch):
+    # the complex solve's real part solves the real system to TOL
     cfg = CorrectorConfig(layer=small_realization.layer,
                           process=PointProcessParams(rho=0.3),
                           H=7.0, L_cell=12.0, target_dx=0.2)
+    systems = []
+
+    def recording_assemble(*args, **kwargs):
+        systems.append(assemble(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(corrector, "assemble", recording_assemble)
     w1 = solve_w1(cfg, small_realization)
+    (system,) = systems
     assert w1.field.dtype == np.float64
+    assert system.residual(w1.field.ravel()) <= solver.TOL
