@@ -28,8 +28,8 @@ solver keeps rows up to the cut row j0 and eliminates the strip above it,
 so the closure reaches the reduced system only as a phased circulant on the
 cut row (on the top row itself when there is no strip). `with_circulant`
 adds such a circulant to a sparse matrix, kept on a band of its wrapped
-offsets: the solver keeps a narrow band in its factor (the whole circulant
-on narrow rows), and `materialize` the whole modal map on the top rows.
+offsets: the solver keeps a narrow band in its factor, and `materialize`
+the whole modal map on the top rows.
 `bordered` adds one auxiliary unknown per nonzero multiplier instead,
 coupled through the phased DFT of the top trace; the solver uses neither
 explicit form.
@@ -184,9 +184,7 @@ def with_circulant(matrix: sp.spmatrix, symbol: np.ndarray, k1: float, dx: float
     col = np.arange(nx)[:, None]
     rows = np.sort((col + offsets) % nx, axis=1)  # column l's rows, ascending
     true = np.arange(1 - nx, nx)  # every true column offset i - l
-    entry = kernel[true % nx]
-    if k1 != 0.0:
-        entry = entry * np.exp(1j * k1 * dx * true)
+    entry = kernel[true % nx] * np.exp(1j * k1 * dx * true)
     vals = entry[rows - col + nx - 1]
     indptr = np.concatenate([np.zeros(n - nx, dtype=np.int32),
                              np.arange(0, vals.size + 1, len(offsets), dtype=np.int32)])

@@ -7,7 +7,7 @@ lines: a caller picks rows itself (the W1 flux jump's is
 `corrector.CorrectorConfig.jump_row`). The top line carries the
 quasi-periodic Helmholtz Dirichlet-to-Neumann map (k >= 0; k = 0 is the
 Laplace map of the W1 corrector) on every lateral mode, applied through
-lateral FFTs.
+the phased lateral FFT (`LateralTransform`) that the solver shares.
 """
 
 from __future__ import annotations
@@ -141,20 +141,28 @@ def dtn_multipliers(spec: DtnSpec, width: float, nx: int) -> np.ndarray:
     return lam
 
 
-def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
-    """Apply the modal map to a top-line trace.
+class LateralTransform:
+    """Rows (last axis) of nx lateral nodes x = -width/2 + l width/nx divided by
+    exp(i k1 x) and FFT'd (`to_modes`), and back (`from_modes`). The phase is
+    computed once; at k1 = 0 it is 1 +- 0j, exact to divide and multiply by."""
 
-    For k1 != 0 the trace is phase-shifted by exp(-i k1 x) to a periodic
-    signal, filtered per mode, and shifted back.
-    """
-    trace = np.asarray(trace, dtype=complex)
+    def __init__(self, width: float, nx: int, k1: float) -> None:
+        self.phase = np.exp(1j * k1 * (-width / 2.0 + (width / nx) * np.arange(nx)))
+
+    def to_modes(self, rows: np.ndarray) -> np.ndarray:
+        return np.fft.fft(rows / self.phase, axis=-1)
+
+    def from_modes(self, hat: np.ndarray) -> np.ndarray:
+        rows = np.fft.ifft(hat, axis=-1)
+        rows *= self.phase
+        return rows
+
+
+def dtn_apply(spec: DtnSpec, width: float, trace: np.ndarray) -> np.ndarray:
+    """Apply the modal map to a top-line trace, mode by mode."""
     nx = len(trace)
-    lam = dtn_multipliers(spec, width, nx)
-    if spec.k1 != 0.0:
-        x_nodes = -width / 2.0 + (width / nx) * np.arange(nx)
-        phase = np.exp(1j * spec.k1 * x_nodes)
-        return phase * np.fft.ifft(lam * np.fft.fft(trace / phase))
-    return np.fft.ifft(lam * np.fft.fft(trace))
+    lateral = LateralTransform(width, nx, spec.k1)
+    return lateral.from_modes(dtn_multipliers(spec, width, nx) * lateral.to_modes(trace))
 
 
 def circulant_offsets(nx: int, half_width: int | None = None) -> np.ndarray:
@@ -168,5 +176,4 @@ def circulant_offsets(nx: int, half_width: int | None = None) -> np.ndarray:
 
 def quasi_mode(width: float, nx: int, m: int, k1: float = 0.0) -> np.ndarray:
     """Discrete quasi-periodic mode (1/sqrt(width)) exp(i (2 m pi/width + k1) x)."""
-    x = -width / 2.0 + (width / nx) * np.arange(nx)
-    return np.exp(1j * (2.0 * np.pi * m / width + k1) * x) / math.sqrt(width)
+    return LateralTransform(width, nx, 2.0 * np.pi * m / width + k1).phase / math.sqrt(width)

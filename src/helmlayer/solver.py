@@ -26,22 +26,27 @@ itself: the same reduced system, with no sweep. A `local` edited after
 assembly no longer matches the strip; the refinement below, against the
 exact operator, then reaches TOL or raises, and never returns a wrong vector.
 
-Rows 0..j0 are solved in one form. SuperLU factors them with row j0's
-circulant kept on its wrapped offsets |o| <= w = CUT_HALF_WIDTH, a band of
-(2w+1) nx entries (assemble.with_circulant, which also builds
+Rows 0..j0 are solved in one form at every width. SuperLU factors them with
+row j0's circulant kept on its wrapped offsets |o| <= w = CUT_HALF_WIDTH, a
+band of (2w+1) nx entries (assemble.with_circulant, which also builds
 DiscreteSystem.materialize). The kernel falls off like 1/offset^2, so
 unrestarted GMRES on row j0 alone, one triangular solve per iteration,
-corrects for the dropped tail, applied by lateral FFT and never formed.
-Below INTERFACE_NX nodes the band is the whole circulant: one factor, one
-triangular solve. w = 4 takes 20 and 21 iterations at nx 884 and 1768, w = 2
-25 and 26 for 3 MB less. One solve with its setup (2-vCPU VM, one BLAS
-thread, median of 3) against the forms this one replaced, the dense nx x nx
-block in the factor below 600 nodes, else rows 0..j0-1 factored and GMRES
-preconditioned per mode by row j0's block; iterations in brackets, and the
-relative residual before refinement:
+corrects for the dropped tail, applied by lateral FFT (grid.LateralTransform)
+and never formed. At odd nx <= 2w+1 the band is the whole circulant, the tail
+is zero and GMRES stops after one iteration. w = 4 takes 20 and 21
+iterations at nx 884 and 1768, w = 2 25 and 26 for 3 MB less. One solve with
+its setup (2-vCPU VM, one BLAS thread) against the forms this one replaced:
+the whole circulant in the factor below nx 200 (CPU time, median of 21
+interleaved), the dense nx x nx block below 600 nodes, else rows 0..j0-1
+factored and GMRES preconditioned per mode by row j0's block (median of 3);
+iterations in brackets, and the relative residual before refinement:
 
     system                               nx   earlier form    this form       residual
-    W1 cell, width 20 *                 100    13 ms           13 ms (0)      6.1e-14
+    W1 cell, width 12.8                  64    6.2 ms          8.7 ms (9)     4.0e-14
+    Helmholtz, period 20, k2 eps 0.2     88    5.5 ms          7.0 ms (10)    1.6e-13
+    W1 cell, width 20                   100   10.6 ms         14.1 ms (10)    6.2e-14
+    Helmholtz, period 25, k2 eps 0.2    110    7.7 ms          9.5 ms (11)    1.8e-13
+    W1 cell, width 32                   160   13.8 ms         17.1 ms (13)    8.5e-14
     Helmholtz, period 50, k2 eps 0.2    221    49 ms           43 ms (16)     2.6e-13
     Helmholtz, period 50, k2 eps 0.1    442   112 ms           82 ms (18)     8.0e-13
     Helmholtz, period 50, k2 eps 0.05   884   326 ms (47)     204 ms (20)     2.5e-12
@@ -49,21 +54,19 @@ relative residual before refinement:
     W1 cell, width 400 *               2000   607 ms (51)     395 ms (21)     2.2e-13
     Helmholtz, period 100, k2 eps 0.025 3536  1.62 s (52)     0.95 s (22)     1.2e-11
 
-* Timed as real solves. Both W1 rows are complex solves now: in one session
-  (seed-1 Matern cells, rho 0.4), 7.2-10.9 against 8.7-10.1 ms real at
-  width 20, and 432-479 against 276-445 ms at width 400, with the same
-  iterations and residuals 6.3e-14 and 2.2e-13.
+* Timed as a real solve; 432-479 ms against 276-445 ms real in one session.
 
-The band overtakes the whole circulant between nx 160 and 200 (W1 cells of
-width 30 and 40, a Helmholtz cell at nx 160). The unrefined residual follows
-the grid spacing, not the width: x3.5 per halving of the Helmholtz dx, x1.4
-from period 50 to 100. GMRES runs to GMRES_TOL relative to its right-hand
-side, and raises NoConvergence after GMRES_MAX_ITER iterations. SuperLU's
+Below nx 200 the whole circulant was 1-3.5 ms faster a solve, a price no
+benchmark request pays. The unrefined residual follows the grid spacing,
+not the width: x3.5 per halving of the Helmholtz dx, x1.4 from period 50 to
+100. GMRES runs to GMRES_TOL relative to its right-hand side, and raises
+NoConvergence after GMRES_MAX_ITER iterations: twice the most that any
+converging solve of the tests or sweep_ref takes (65, at k dx 1.9). SuperLU's
 panel of 4 columns holds the nx-1768 factor's memory growth to 15 MB against
 36 MB at the default, no slower.
 
 Up to two steps of iterative refinement against the exact operator on the
-full grid, which applies the modal map through its own FFT code, bring the
+full grid, which applies the modal map by grid.dtn_apply, bring the
 residual under TOL; each refinement residual is reduced by the same sweep
 and solved in the same form. An exactly zero pivot or a zero or non-finite
 denominator of the strip recursion raises SingularSystem; a residual that
@@ -106,16 +109,15 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 TOL = 1e-10
-INTERFACE_NX = 200  # cut rows this wide and wider keep a band of their circulant
 CUT_HALF_WIDTH = 4  # wrapped offsets |o| <= this of the cut row's circulant are factored
 GMRES_TOL = 1e-13
-GMRES_MAX_ITER = 200
+GMRES_MAX_ITER = 130
 
 
 @dataclass
 class SolveReport:
     """Relative residual, and the cut-row GMRES iterations summed over the
-    refinement steps (0 when the factor holds the whole circulant)."""
+    refinement steps (one per step where the band is the whole circulant)."""
 
     residual: float
     iterations: int
@@ -160,7 +162,7 @@ class _Cut:
         self.local, self.nx = system.local.tocsr(), grid.nx
         k1 = self.k1 = system.dtn.k1
         self.dx = grid.dx
-        self.phase = np.exp(1j * k1 * grid.x_nodes()) if k1 != 0.0 else None
+        self.lateral = _grid.LateralTransform(grid.width, grid.nx, k1)
         lam = _grid.dtn_multipliers(system.dtn, grid.width, grid.nx)
         self.p = None
         if system.strip is None:
@@ -177,20 +179,11 @@ class _Cut:
         """Unknowns of the reduced rows 0..j0."""
         return (self.j0 + 1) * self.nx
 
-    def _to_modes(self, rows: np.ndarray) -> np.ndarray:
-        return np.fft.fft(rows if self.phase is None else rows / self.phase, axis=-1)
-
-    def _from_modes(self, hat: np.ndarray) -> np.ndarray:
-        rows = np.fft.ifft(hat, axis=-1)
-        if self.phase is not None:
-            rows *= self.phase
-        return rows
-
     @property
     def offsets(self) -> np.ndarray:
-        """Wrapped offsets of row j0's circulant kept in the factor: all nx
-        below INTERFACE_NX, else |o| <= CUT_HALF_WIDTH."""
-        return _grid.circulant_offsets(self.nx, None if self.nx < INTERFACE_NX else CUT_HALF_WIDTH)
+        """Wrapped offsets |o| <= CUT_HALF_WIDTH of row j0's circulant kept in
+        the factor: all nx of them at odd nx <= 2 CUT_HALF_WIDTH + 1."""
+        return _grid.circulant_offsets(self.nx, CUT_HALF_WIDTH)
 
     def matrix(self) -> sp.csc_matrix:
         """Rows and columns 0..j0 of the operator, row j0's circulant kept on `offsets`."""
@@ -207,7 +200,7 @@ class _Cut:
         out = rhs[:n].astype(complex)
         if self.p is None:
             return out, None
-        r = self._to_modes(rhs[n:].reshape(-1, nx))
+        r = self.lateral.to_modes(rhs[n:].reshape(-1, nx))
         q = np.empty_like(r)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q[-1] = (r[-1] - self.t2 / self.b * r[-2]) / self.den[-1]
@@ -216,7 +209,7 @@ class _Cut:
         # non-finite data is left to the residual check (NoConvergence)
         if np.isfinite(r).all() and not np.isfinite(q).all():
             raise SingularSystem("strip recursion overflowed")
-        out[-nx:] += self._from_modes(-self.b * q[0])
+        out[-nx:] += self.lateral.from_modes(-self.b * q[0])
         return out, q
 
     def extend(self, x: np.ndarray, q: np.ndarray | None) -> np.ndarray:
@@ -224,10 +217,10 @@ class _Cut:
         if q is None:
             return x
         v = np.empty_like(q)
-        prev = self._to_modes(x[-self.nx:])
+        prev = self.lateral.to_modes(x[-self.nx:])
         for s in range(len(q)):
             prev = v[s] = self.p[s] * prev + q[s]
-        return np.concatenate([x, self._from_modes(v).ravel()])
+        return np.concatenate([x, self.lateral.from_modes(v).ravel()])
 
     def solver(self) -> Callable[[np.ndarray], tuple[np.ndarray, int]]:
         """Solve of rows 0..j0 for a reduced rhs, and its GMRES iterations.
@@ -235,19 +228,19 @@ class _Cut:
         M, the factored `matrix()`, differs from the reduced operator by the
         dropped tail E of row j0's circulant, applied by lateral FFT. With P
         picking row j0, GMRES solves (I + P M^-1 P^T E) u = P M^-1 r for u,
-        row j0 of the solution, and x = M^-1 r - M^-1 P^T E u.
+        row j0 of the solution, and x = M^-1 r - M^-1 P^T E u. When the band
+        holds the whole circulant, E = 0: GMRES stops after one iteration and
+        x = M^-1 r.
         """
-        nx, n, offsets = self.nx, self.n, self.offsets
+        nx, n, lateral = self.nx, self.n, self.lateral
         lu = _factorize(self.matrix())
-        if len(offsets) == nx:  # the whole circulant: E = 0
-            return lambda r: (lu.solve(r), 0)
         dropped = np.fft.ifft(self.symbol)
-        dropped[offsets] = 0.0
+        dropped[self.offsets] = 0.0
         tail = np.fft.fft(dropped)
 
         def lift(u: np.ndarray) -> np.ndarray:  # M^-1 P^T E u
             e = np.zeros(n, dtype=complex)
-            e[-nx:] = self._from_modes(tail * self._to_modes(u))
+            e[-nx:] = lateral.from_modes(tail * lateral.to_modes(u))
             return lu.solve(e)
 
         def solve_rows(r: np.ndarray) -> tuple[np.ndarray, int]:

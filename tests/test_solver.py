@@ -13,9 +13,9 @@ from helmlayer import (DtnSpec, FactorTooLarge, LayerSpec, NoConvergence,
                        sample_matern, solve)
 from helmlayer import corrector, scattering, solver
 from helmlayer import grid as grid_module
-from helmlayer.assemble import DiscreteSystem, assemble
+from helmlayer.assemble import DiscreteSystem, assemble, with_circulant
 from helmlayer.corrector import CorrectorConfig, solve_w1
-from helmlayer.grid import dtn_apply, dtn_multipliers
+from helmlayer.grid import circulant_offsets, dtn_apply, dtn_multipliers
 
 
 def _identity_system():
@@ -43,26 +43,49 @@ def test_identity_rows_solution_equals_rhs():
     assert report.residual <= 1e-12
 
 
-@pytest.mark.parametrize("interface_nx", [solver.INTERFACE_NX, 0], ids=["whole", "banded"])
-def test_empty_w1_system_raises_a_typed_error(empty_realization, monkeypatch, interface_nx):
+@pytest.mark.parametrize("width", [1.8, 20.0], ids=["whole", "banded"])
+def test_empty_w1_system_raises_a_typed_error(empty_realization, width):
     # W1 without particles has a constant kernel, which solve knows nothing
-    # of: it raises a typed error in both cut-row forms and returns no vector
-    # (in the banded form the factor is regular, and the dropped tail of the
-    # circulant restores the kernel)
-    monkeypatch.setattr(solver, "INTERFACE_NX", interface_nx)
-    system = _w1_system(empty_realization)
-    assert (system.grid.nx >= solver.INTERFACE_NX) == (interface_nx == 0)
+    # of: it raises a typed error and returns no vector, whether the factored
+    # band is the whole circulant of the cut row (nx 9) or not (nx 100, where
+    # the factor is regular and the dropped tail of the circulant restores
+    # the kernel)
+    system = _w1_system(empty_realization, width)
+    assert (len(solver._Cut(system).offsets) == system.grid.nx) == (width < 2.0)
     with pytest.raises((SingularSystem, NoConvergence)):
         solve(system)
 
 
+def test_empty_w1_system_stops_at_the_gmres_cap(empty_realization, monkeypatch):
+    # the nx-100 empty cell: the solve and the refinement step each take one
+    # triangular solve for the rhs, one per GMRES iteration and one to lift
+    # the result; the refinement step's GMRES stops at the cap
+    calls = []
+    factorize = solver._factorize
+
+    def counting_factorize(matrix):
+        lu = factorize(matrix)
+
+        class Counting:
+            def solve(self, rhs):
+                calls.append(1)
+                return lu.solve(rhs)
+
+        return Counting()
+
+    monkeypatch.setattr(solver, "_factorize", counting_factorize)
+    with pytest.raises(NoConvergence, match="interface GMRES"):
+        solve(_w1_system(empty_realization))
+    assert solver.GMRES_MAX_ITER + 1 < len(calls) <= 2 * (solver.GMRES_MAX_ITER + 2) <= 264
+
+
 def test_near_singular_w1_raises_no_convergence(empty_realization):
     # the constant kernel lifted by a tiny diagonal shift: the factor succeeds
-    # with no vanishing pivot, so only refinement sees it
+    # with no vanishing pivot, and the cut-row GMRES reaches its cap
     system = _w1_system(empty_realization)
     scale = float(np.abs(system.local.diagonal()).max())
     system.local = (system.local + 1e-13 * scale * sp.identity(system.n, format="csr")).tocsr()
-    with pytest.raises(NoConvergence, match="above tol"):
+    with pytest.raises(NoConvergence, match="interface GMRES"):
         solve(system)
 
 
@@ -78,8 +101,8 @@ def test_symmetric_ordering_cuts_fill(small_realization):
     assert solver._factorize(matrix).nnz <= 0.7 * spla.splu(matrix).nnz
 
 
-def _nx20_system(dtn):
-    grid = build_grid(4.0, 2.0, 0.2)
+def _nx20_system(dtn, nx=20):
+    grid = build_grid(0.2 * nx, 2.0, 0.2)
     return assemble(grid, classify_nodes(grid, None), dtn, gamma=1 + 1j,
                     top_forcing=np.ones(grid.nx))
 
@@ -89,7 +112,36 @@ def _first_row_above_particles(mask):
     return max(2, rows.max() + 1) if len(rows) else 2
 
 
+def _whole_cut_matrix(cut):
+    """Rows 0..j0 of the reduced operator, row j0 with its whole circulant."""
+    return with_circulant(cut.local[:cut.n, :cut.n], cut.symbol, cut.k1, cut.dx,
+                          circulant_offsets(cut.nx))
+
+
+@pytest.mark.parametrize("k1", [0.0, 0.3])
+@pytest.mark.parametrize("nx, kept", [(4, 3), (5, 5), (9, 9), (20, 9), (100, 9)])
+def test_tiny_lateral_grids_match_the_dense_solve(nx, kept, k1):
+    # nx 4 clamps the band to 3 of its 4 offsets; at nx 5 and 9 it is the
+    # whole circulant, the dropped tail is 0 and GMRES stops after one step.
+    # A random rhs excites every lateral mode.
+    system = _nx20_system(DtnSpec(k=1.0, k1=k1), nx)
+    assert system.grid.nx == nx and len(solver._Cut(system).offsets) == kept
+    rng = np.random.default_rng(nx)
+    system.rhs = rng.normal(size=system.n) + 1j * rng.normal(size=system.n)
+    x, report = solve(system)
+    x_dense = np.linalg.solve(system.materialize().toarray(), system.rhs)
+    assert np.linalg.norm(x - x_dense) <= solver.TOL * np.linalg.norm(x_dense)
+    if kept == nx:
+        assert report.iterations == 1
+
+
 def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
+    cases = [  # (system, its particles), nx 20 unless noted
+        (_nx20_system(DtnSpec(k=1.0, k1=0.3)), None),
+        (_nx20_system(DtnSpec(k1=0.3)), None),  # k = 0: quasi-periodic Laplace, no constant kernel
+        (_w1_system(small_realization), small_realization),  # nx 100
+    ]
+    oracle = [spla.spsolve(system.materialize(), system.rhs) for system, _ in cases]
     for name in ("materialize", "bordered"):
         def refused(self, _name=name):
             raise AssertionError(f"solve called DiscreteSystem.{_name}")
@@ -102,27 +154,21 @@ def test_solve_factors_only_rows_up_to_the_cut(small_realization, monkeypatch):
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    cases = [  # (system, its particles), nx 20 unless noted
-        (_nx20_system(DtnSpec(k=1.0, k1=0.3)), None),
-        (_nx20_system(DtnSpec(k1=0.3)), None),  # k = 0: quasi-periodic Laplace, no constant kernel
-        (_w1_system(small_realization), small_realization),  # nx 100
-    ]
     band = 2 * solver.CUT_HALF_WIDTH + 1
-    for system, config in cases:
+    for (system, config), x_oracle in zip(cases, oracle):
         j0 = _first_row_above_particles(classify_nodes(system.grid, config))
         nx = system.grid.nx
         n = (j0 + 1) * nx
-        # both forms factor rows 0..j0; row j0 keeps its whole circulant below
-        # INTERFACE_NX, and from it on a band of 2w+1 offsets and GMRES iterations
-        for threshold, cut_entries in ((nx + 1, nx * nx), (nx, band * nx)):
-            monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
-            factored.clear()
-            _, report = solve(system)
-            (matrix,) = factored
-            assert matrix.shape == (n, n)
-            assert matrix[n - nx:, n - nx:].nnz == cut_entries
-            assert (report.iterations > 0) == (threshold == nx)
-            assert report.residual <= solver.TOL
+        # rows 0..j0 are factored, row j0 with a band of 2w+1 offsets of its
+        # circulant, and GMRES corrects for the rest
+        factored.clear()
+        x, report = solve(system)
+        (matrix,) = factored
+        assert matrix.shape == (n, n)
+        assert matrix[n - nx:, n - nx:].nnz == band * nx
+        assert report.iterations > 0
+        assert report.residual <= solver.TOL
+        assert np.linalg.norm(x - x_oracle) <= solver.TOL * np.linalg.norm(x_oracle)
 
 
 def test_wide_cut_row_builds_no_dense_block():
@@ -132,7 +178,6 @@ def test_wide_cut_row_builds_no_dense_block():
     system = assemble(grid, classify_nodes(grid, None), DtnSpec(k=1.0, k1=0.3), gamma=1 + 1j,
                       top_forcing=np.ones(grid.nx))
     nx = grid.nx
-    assert nx >= solver.INTERFACE_NX
     tracemalloc.start()
     try:
         solver._Cut(system).solver()
@@ -275,20 +320,21 @@ def _wide_w1_system():
     return _w1_system(sample_matern(PointProcessParams(rho=0.4), layer, 5), layer.width)
 
 
-def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
-    # a wide real W1 cell, and a quasi-periodic Robin Helmholtz system with particles;
-    # the reduced solves agree before refinement, the refined solutions after it
+def test_interface_form_matches_the_direct_cut(small_process):
+    # a wide real W1 cell, and a quasi-periodic Robin Helmholtz system with
+    # particles: the reduced solve agrees with a factor of rows 0..j0 holding
+    # row j0's whole circulant before refinement, and the refined solution
+    # with a factor of the materialized system
     for system in (_wide_w1_system(), _reference_system(small_process, 0.1)[0]):
         cut = solver._Cut(system)
         assert 2 < cut.j0 < system.grid.ny - 3
         reduced_rhs, _ = cut.reduce(system.rhs)
-        solutions = []
-        for threshold in (system.grid.nx + 1, system.grid.nx):  # whole circulant, then band
-            monkeypatch.setattr(solver, "INTERFACE_NX", threshold)
-            x, report = solve(system)
-            assert report.residual <= solver.TOL
-            solutions.append((cut.solver()(reduced_rhs)[0], x))
-        for direct, interface in zip(*solutions):
+        whole = _whole_cut_matrix(cut)
+        x, report = solve(system)
+        assert report.residual <= solver.TOL
+        for interface, direct in ((cut.solver()(reduced_rhs)[0],
+                                   solver._factorize(whole).solve(reduced_rhs)),
+                                  (x, solver._factorize(system.materialize()).solve(system.rhs))):
             assert interface.dtype == direct.dtype == system.rhs.dtype
             assert np.linalg.norm(interface - direct) <= 1e-10 * np.linalg.norm(direct)
     assert system.dtn.k1 == pytest.approx(math.sin(math.pi / 4.0))
@@ -297,17 +343,15 @@ def test_interface_form_matches_the_direct_cut(small_process, monkeypatch):
 def test_interface_form_solves_a_zero_strip():
     # a system with no strip record: row j0 is the top row
     system = dataclasses.replace(_wide_w1_system(), strip=None)
-    assert system.grid.nx >= solver.INTERFACE_NX
     assert solver._Cut(system).j0 == system.grid.ny - 1
     x, report = solve(system)
     assert report.residual <= solver.TOL
     assert system.residual(x) == report.residual
 
 
-def test_banded_cut_row_needs_few_gmres_iterations(small_process, monkeypatch):
+def test_banded_cut_row_needs_few_gmres_iterations(small_process):
     # the earlier band-only form (rows 0..j0-1 factored, row j0 by GMRES
     # preconditioned per mode by its own block) took 46 and 36 + 36 iterations
-    monkeypatch.setattr(solver, "INTERFACE_NX", 0)
     for system, before in ((_wide_w1_system(), 46), (_reference_system(small_process, 0.1)[0], 72)):
         _, report = solve(system)
         assert 0 < report.iterations <= 0.6 * before
@@ -324,7 +368,6 @@ def test_wide_cell_c1_is_bit_identical_across_threads():
     cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=130.0),
                           process=PointProcessParams(rho=0.4), H=7.0, L_cell=12.0,
                           target_dx=0.2)
-    assert cfg.cell_grid().nx >= solver.INTERFACE_NX
     a = corrector.estimate_c1(cfg, 3, master_seed=3, threads=1)
     b = corrector.estimate_c1(cfg, 3, master_seed=3, threads=2)
     assert (a.mean, a.std_err, a.history) == (b.mean, b.std_err, b.history)
@@ -360,7 +403,7 @@ def test_cut_block_is_the_schur_complement_of_the_strip(real):
                                np.column_stack([full[strip, keep], system.rhs[strip]]))
     schur = full[keep, keep] - full[keep, strip] @ coupling[:, :n]
     rhs = system.rhs[keep] - full[keep, strip] @ coupling[:, n]
-    matrix, reduced_rhs = cut.matrix(), cut.reduce(system.rhs)[0]
+    matrix, reduced_rhs = _whole_cut_matrix(cut), cut.reduce(system.rhs)[0]
     assert matrix.dtype == system.local.dtype
     scale = np.abs(schur).max()
     assert np.abs(matrix.toarray() - schur).max() <= 1e-12 * scale
@@ -418,8 +461,8 @@ def test_diagonal_pivots_stable_on_coarse_helmholtz(small_process, monkeypatch, 
     (system, x, report), = solved
     assert report.residual <= solver.TOL
     cut = solver._Cut(system)
-    matrix, rhs = cut.matrix(), cut.reduce(system.rhs)[0]
-    x_default = spla.splu(matrix).solve(rhs)  # the factored rows 0..j0
+    matrix, rhs = _whole_cut_matrix(cut), cut.reduce(system.rhs)[0]
+    x_default = spla.splu(matrix).solve(rhs)  # rows 0..j0, partial pivoting
     x_cut = x[: len(rhs)]
     assert np.linalg.norm(x_cut - x_default) <= 1e-9 * np.linalg.norm(x_default)
 
