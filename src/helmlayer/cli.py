@@ -43,7 +43,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out", type=str, default=None, help="override output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for the c1 and sweep commands")
+                        help="worker threads for the sweep's reference solves and the "
+                             "solve_w1 fallbacks of a c1 estimate")
     parser.add_argument("command", choices=COMMANDS)
     return parser
 

@@ -14,10 +14,12 @@ one dense solve on the particles' boundary nodes, with the trace mean as one
 of its unknowns and no field formed. That dense solve grows as the cube of
 the boundary-node count, so a realization with more of them than the
 measured crossover, and every realization of a cell whose table would be too
-large, goes to `solve_w1` instead. `solve_w1` assembles the whole cell and
-solves it by SuperLU (`solver.solve`); it also serves the callers that need
-the field: the decay profile, the validation suite and the c1 study's single
-wide-cell rows. It is the capacitance sample's test oracle.
+large, goes to `solve_w1` instead. The capacitance samples hold the GIL and
+run on the calling thread; only the `solve_w1` fallbacks are fanned out on
+worker threads. `solve_w1` assembles the whole cell and solves it by
+SuperLU (`solver.solve`), which releases the GIL; it also serves the callers
+that need the field: the decay profile, the validation suite and the c1
+study's single wide-cell rows. It is the capacitance sample's test oracle.
 """
 
 from __future__ import annotations
@@ -142,7 +144,11 @@ class CorrectorSolution:
 
 @dataclass(frozen=True)
 class C1Estimate:
-    """Monte-Carlo estimate of the effective coefficient."""
+    """Monte-Carlo estimate of the effective coefficient.
+
+    n_failures counts the failed samples, n_solve_w1 the realizations that
+    `solve_w1` took instead of the capacitance sample, failed ones included.
+    """
 
     mean: float
     std_err: float
@@ -150,6 +156,7 @@ class C1Estimate:
     cell_width: float
     history: tuple[tuple[int, float, float, float | None], ...] = ()
     n_failures: int = 0
+    n_solve_w1: int = 0
 
     def __post_init__(self) -> None:
         if self.std_err < 0:
@@ -282,7 +289,8 @@ class _GreenTable:
         g0, top, jump = self.g0, self.grid.ny - 1, self.jump
         try:
             m = np.empty((n + 1, n + 1))
-            m[:n, :n] = self.g[(i[:, None] - i) % nx, j[:, None], j]  # G_RR
+            # G_RR; i - i' lies in (-nx, nx), so a negative index wraps once
+            m[:n, :n] = self.g[i[:, None] - i, j[:, None], j]
             m[:n, n] = self.ALPHA * g0[j, top]  # ALPHA (G 1_top)_R
             m[n, :n] = g0[top, j] / nx  # mean_top(G e_r)
             m[n, n] = self.ALPHA * g0[top, top] - 1.0
@@ -324,8 +332,14 @@ def _mode_operators(grid: Grid, strip: Strip, d: np.ndarray, lam: np.ndarray,
 
 
 def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n-1)] in index order, on `threads` worker threads when > 1."""
-    if threads > 1:
+    """[fn(0), ..., fn(n-1)] in index order, on `threads` worker threads when
+    > 1 and there are two calls or more.
+
+    Worth it only for calls that release the GIL for most of their time, as
+    SuperLU does: `estimate_c1` fans out its `solve_w1` fallbacks through it,
+    `run_sweep` its reference solves.
+    """
+    if threads > 1 and n > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, range(n)))
     return [fn(j) for j in range(n)]
@@ -338,27 +352,41 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
     Realization j always uses the RNG stream keyed by (master_seed, j), so
     the estimate is independent of worker count and scheduling order. A
     sample is a capacitance solve on the Green's table (`_GreenTable`),
-    built here once, before the fan-out, read by every worker and released
-    on return; a realization with more than `_GreenTable.RING_MAX` ring
-    nodes, and every one of a cell whose table would exceed
-    `_GreenTable.MAX_ENTRIES`, is solved by `solve_w1` instead. Fails if
-    more than 10% of the samples are singular or non-convergent; an
-    allocation failure raises FactorTooLarge and is no failed sample.
+    built here once and released on return. The capacitance samples run one
+    after another on the calling thread: each is a few small numpy steps
+    that hold the GIL, so threads would only add overhead. A realization
+    with more than `_GreenTable.RING_MAX` ring nodes, and every one of a
+    cell whose table would exceed `_GreenTable.MAX_ENTRIES`, is solved by
+    `solve_w1` instead; those fallbacks alone are fanned out on `threads`
+    worker threads (`map_realizations`), since SuperLU releases the GIL.
+    Fails if more than 10% of the samples, on either path, are singular or
+    non-convergent; an allocation failure raises FactorTooLarge and is no
+    failed sample.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 (std_err undefined otherwise)")
     table = _GreenTable.build(cfg)
 
-    def one(j: int) -> float | None:
+    raw: list[float | None] = [None] * n_samples
+    routed: list[tuple[int, ParticleConfiguration]] = []  # the solve_w1 samples
+    for j in range(n_samples):
         config = sample_matern(cfg.process, cfg.layer, master_seed, stream=j)
         try:
-            sample = None if table is None else table.c1(
+            raw[j] = None if table is None else table.c1(
                 classify_nodes(table.grid, config, scale=1.0))
-            return solve_w1(cfg, config).c1 if sample is None else sample
+        except (SingularSystem, NoConvergence):
+            continue
+        if raw[j] is None:
+            routed.append((j, config))
+
+    def fallback(k: int) -> float | None:
+        try:
+            return solve_w1(cfg, routed[k][1]).c1
         except (SingularSystem, NoConvergence):
             return None
 
-    raw = map_realizations(one, n_samples, threads)
+    for (j, _), value in zip(routed, map_realizations(fallback, len(routed), threads)):
+        raw[j] = value
 
     values = [v for v in raw if v is not None]
     n_fail = n_samples - len(values)
@@ -380,7 +408,8 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
             rse = math.sqrt(var / idx)
         history.append((idx, float(v), float(rmean), rse))
     return C1Estimate(mean=mean, std_err=std_err, n_samples=len(arr),
-                      cell_width=cfg.layer.width, history=tuple(history), n_failures=n_fail)
+                      cell_width=cfg.layer.width, history=tuple(history), n_failures=n_fail,
+                      n_solve_w1=len(routed))
 
 
 def decay_profile(w1: CorrectorSolution, c1: float) -> list[tuple[float, float, float, float]]:

@@ -220,7 +220,8 @@ def _write_json(payload: dict, path: Path) -> None:
 def _c1_record(est: C1Estimate) -> dict:
     """The c1 estimate as provenance.json records it."""
     return {"mean": est.mean, "std_err": est.std_err, "ci95": list(est.ci95),
-            "n_samples": est.n_samples, "n_failures": est.n_failures}
+            "n_samples": est.n_samples, "n_failures": est.n_failures,
+            "n_solve_w1": est.n_solve_w1}
 
 
 def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:

@@ -255,6 +255,76 @@ def test_estimate_c1_leaves_large_rings_and_tables_to_solve_w1(small_layer, monk
     assert [row[1] for row in estimate_c1(cfg, 4, master_seed=0).history] == oracle
 
 
+def _routed_streams(cfg, streams):
+    # the streams of master seed 5 whose ring exceeds RING_MAX, so that solve_w1 takes them
+    table = _GreenTable(cfg)
+    return [j for j in streams if table.c1(classify_nodes(
+        table.grid, sample_matern(cfg.process, cfg.layer, 5, stream=j))) is None]
+
+
+def test_estimate_c1_split_path_is_independent_of_threads(small_layer, empty_realization,
+                                                          monkeypatch):
+    # capacitance samples on the calling thread, solve_w1 fallbacks fanned out,
+    # and an empty stream that fails on the capacitance path
+    cfg = _cfg(small_layer)
+    monkeypatch.setattr(_GreenTable, "RING_MAX", 140)
+    routed = _routed_streams(cfg, [j for j in range(10) if j != 3])
+    assert 2 <= len(routed) <= 7  # both paths take two samples or more
+    draw = corrector.sample_matern
+
+    def empty_stream_3(process, layer, seed, stream=0):
+        return empty_realization if stream == 3 else draw(process, layer, seed, stream=stream)
+
+    monkeypatch.setattr(corrector, "sample_matern", empty_stream_3)
+    a, b, c = (estimate_c1(cfg, 10, master_seed=5, threads=t) for t in (1, 2, 4))
+    assert a == b == c  # every field, the history included, bit for bit
+    assert (a.n_samples, a.n_failures, a.n_solve_w1) == (9, 1, len(routed))
+
+
+class _NoPool(Exception):
+    pass
+
+
+def test_estimate_c1_starts_threads_only_for_solve_w1_fallbacks(small_layer, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise _NoPool
+
+    cfg = _cfg(small_layer)
+    monkeypatch.setattr(corrector, "ThreadPoolExecutor", no_pool)
+    est = estimate_c1(cfg, 4, master_seed=5, threads=2)  # every ring fits
+    assert est.n_solve_w1 == 0
+    monkeypatch.setattr(_GreenTable, "RING_MAX", 140)
+    assert len(_routed_streams(cfg, range(4))) >= 2  # a pool of one call is not started
+    with pytest.raises(_NoPool):
+        estimate_c1(cfg, 4, master_seed=5, threads=2)
+
+
+def test_capacitance_gather_wraps_the_lateral_offset_like_a_modulo(small_layer, monkeypatch):
+    # a disk across the seam: its ring holds nodes at both ends of a grid row,
+    # so i - i' reaches below -nx/2 and above nx/2
+    config = ParticleConfiguration(np.array([(9.9, 2.5)]), small_layer, seed=0)
+    table = _GreenTable(_cfg(small_layer))
+    nx = table.grid.nx
+    mask = classify_nodes(table.grid, config)
+    free = ~mask
+    ring = mask & (np.roll(free, 1, 0) | np.roll(free, -1, 0)
+                   | np.roll(free, 1, 1) | np.roll(free, -1, 1))
+    j, i = np.nonzero(ring)
+    offsets = i[:, None] - i
+    assert offsets.min() < -nx // 2 and offsets.max() > nx // 2
+    systems = []
+    solve = np.linalg.solve
+
+    def recording_solve(m, rhs):
+        systems.append(m.copy())
+        return solve(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    table.c1(mask)
+    (m,) = systems
+    assert np.array_equal(m[:len(j), :len(j)], table.g[offsets % nx, j[:, None], j])
+
+
 def test_estimate_c1_grid_refinement_stability():
     layer = LayerSpec(h=5.0, delta=0.05, width=15.0)
     coarse = estimate_c1(_cfg(layer, H=7.0, L_cell=11.0, target_dx=0.2), 5, 77)

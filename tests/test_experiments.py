@@ -163,7 +163,7 @@ def test_c1_study_reuses_its_estimate_for_the_configured_width(tmp_path, monkeyp
     assert rows[2] == f"10.0,4,{est.mean!r},{est.std_err!r}"
     assert json.loads((tmp_path / "out" / "provenance.json").read_text())["c1"] == {
         "mean": est.mean, "std_err": est.std_err, "ci95": list(est.ci95),
-        "n_samples": 4, "n_failures": 0}
+        "n_samples": 4, "n_failures": 0, "n_solve_w1": 0}
 
 
 def test_sweep_estimates_c1_itself_and_records_it_in_provenance(tmp_path, monkeypatch):
@@ -180,7 +180,7 @@ def test_sweep_estimates_c1_itself_and_records_it_in_provenance(tmp_path, monkey
     })
     est = estimate_c1(config.corrector_config(), 30, 77)  # max(n_samples, 30) samples
     expected = {"mean": est.mean, "std_err": est.std_err, "ci95": list(est.ci95),
-                "n_samples": 27, "n_failures": 3}  # three empty realizations
+                "n_samples": 27, "n_failures": 3, "n_solve_w1": 0}  # three empty realizations
     assert (est.n_samples, est.n_failures) == (27, 3)
     estimates = []
 
