@@ -44,7 +44,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="override output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for the sweep's reference solves and the "
-                             "solve_w1 fallbacks of a c1 estimate")
+                             "solve_w1 samples of a c1 cell too large for a Green's table")
     parser.add_argument("command", choices=COMMANDS)
     return parser
 

@@ -6,20 +6,21 @@ on the grid row nearest the requested height H (`jump_row`); the lateral
 trace average at the cell top, moved from that row to H, is the
 per-realization sample of the effective coefficient c1.
 
-Two paths solve W1, and they agree to round-off. `estimate_c1` uses the
-capacitance-matrix method (Buzbee, Dorr, George & Golub 1971; Proskurowski &
-Widlund 1976) with numpy alone: it tabulates the inverse of the empty cell's
-operator once per estimate (`_GreenTable`), and each realization then needs
-one dense solve on the particles' boundary nodes, with the trace mean as one
-of its unknowns and no field formed. That dense solve grows as the cube of
-the boundary-node count, so a realization with more of them than the
-measured crossover, and every realization of a cell whose table would be too
-large, goes to `solve_w1` instead. The capacitance samples hold the GIL and
-run on the calling thread; only the `solve_w1` fallbacks are fanned out on
-worker threads. `solve_w1` assembles the whole cell and solves it by
-SuperLU (`solver.solve`), which releases the GIL; it also serves the callers
-that need the field: the decay profile, the validation suite and the c1
-study's single wide-cell rows. It is the capacitance sample's test oracle.
+Two paths solve W1, and they agree to round-off; a c1 value takes the one
+that `c1_sampler` chooses once per cell. The capacitance-matrix method
+(Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976) needs
+numpy alone: it tabulates the inverse of the empty cell's operator once per
+cell (`_GreenTable`), and each realization then needs one dense solve on
+the particles' boundary nodes, with the trace mean as one of its unknowns
+and no field formed. That dense solve grows as the cube of the
+boundary-node count, which grows with the cell, so every realization of a
+cell whose table would exceed the measured crossover goes to `solve_w1`
+instead. `estimate_c1` runs capacitance samples on the calling thread,
+since they hold the GIL, and fans `solve_w1` samples out on worker threads.
+`solve_w1` assembles the whole cell and solves it by SuperLU
+(`solver.solve`), which releases the GIL; it also serves the callers that
+need the field, the decay profile and the validation suite, and it is the
+capacitance sample's test oracle.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ class C1Estimate:
     """Monte-Carlo estimate of the effective coefficient.
 
     n_failures counts the failed samples, n_solve_w1 the realizations that
-    `solve_w1` took instead of the capacitance sample, failed ones included.
+    `solve_w1` took, failed ones included: 0 on a cell with a Green's table,
+    every realization on one without.
     """
 
     mean: float
@@ -218,20 +220,36 @@ class _GreenTable:
     node above it, so it is in R, and f needs no masking. The sample is
     w + (H - jump_row dy); no field is formed.
 
-    The dense solve costs O(|R|^3) time and O(|R|^2) memory, `solve_w1`
-    about O(nx J): the assembled solve is the cheaper one above RING_MAX ring
-    nodes, and `c1` leaves such a realization to it. The measured crossover
-    (rho 0.4, dx 0.2, one BLAS thread) is about 1450 ring nodes at h 5, 1300
-    at h 10 and 560-700 at h 20 and h 50, and RING_MAX sits under all of
-    them; a finer grid or a sparser layer has fewer ring nodes per factored
-    unknown, which moves the crossover up. `build` makes no table of more
-    than MAX_ENTRIES entries of g (8 bytes each, about 3 times that while it
-    is built).
+    `build` makes a table only when g holds at most MAX_ENTRIES entries,
+    nx (J+1)^2 of 8 bytes (about 3 times that while it is built), and
+    `c1_sampler` then takes every sample of the cell through it; a larger
+    cell takes every sample through `solve_w1`. The dense solve costs
+    O(|R|^3) time and O(|R|^2) memory, and |R| grows with the table, so the
+    bound is the largest measured table size at which the table is no
+    slower per sample and peaks no higher than `solve_w1`, for matern2 at
+    rho 0.4 and for the densest layer the config admits, hardcore_poisson
+    at rho 0.9. Measured at dx 0.2 on one BLAS thread, seed 11, median of
+    10 realizations; the table's CPU per sample holds a tenth of its build
+    (the smallest default estimate takes 10 samples), peak RSS is that of a
+    fresh process:
+
+        h   width  entries  process       table            solve_w1
+        5   100    0.36 M   matern2 0.4    32 ms,  56 MB    83 ms,  92 MB
+        5   100    0.36 M   hardcore 0.9   61 ms,  76 MB    88 ms,  90 MB
+        10  25     0.34 M   hardcore 0.9   19 ms,  51 MB    25 ms,  69 MB
+        20  7      0.36 M   hardcore 0.9    8 ms,  46 MB    12 ms,  67 MB
+        5   110    0.40 M   hardcore 0.9   81 ms,  83 MB    84 ms,  94 MB
+        10  30     0.41 M   hardcore 0.9   37 ms,  55 MB    27 ms,  70 MB
+        20  14     0.73 M   hardcore 0.9   32 ms,  58 MB    31 ms,  69 MB
+        5   200    0.73 M   hardcore 0.9  353 ms, 148 MB   214 ms, 136 MB
+
+    The first losing row holds 0.406 M entries, and MAX_ENTRIES sits under
+    it: at dx 0.2 a table cell is at most 109.6 wide at h 5, 29.4 at h 10
+    and 7.6 at h 20.
     """
 
     ALPHA = 1.0
-    RING_MAX = 500
-    MAX_ENTRIES = 1 << 22
+    MAX_ENTRIES = 400_000
 
     def __init__(self, cfg: CorrectorConfig) -> None:
         grid = self.grid = cfg.cell_grid()
@@ -267,9 +285,8 @@ class _GreenTable:
         except MemoryError as exc:
             raise FactorTooLarge("no memory for the Green's table of the corrector cell") from exc
 
-    def c1(self, mask: np.ndarray) -> float | None:
-        """The c1 sample of the realization with particle mask `mask`, or None
-        when its ring holds more than RING_MAX nodes.
+    def c1(self, mask: np.ndarray) -> float:
+        """The c1 sample of the realization with particle mask `mask`.
 
         An empty ring raises SingularSystem (the true operator then has a
         constant kernel), a dense-solve relative residual above solver.TOL
@@ -284,12 +301,12 @@ class _GreenTable:
         n, nx = len(j), self.grid.nx
         if n == 0:
             raise SingularSystem("no particle node: the injected flux has no outlet")
-        if n > self.RING_MAX:
-            return None
         g0, top, jump = self.g0, self.grid.ny - 1, self.jump
         try:
             m = np.empty((n + 1, n + 1))
-            # G_RR; i - i' lies in (-nx, nx), so a negative index wraps once
+            # G_RR; i - i' lies in (-nx, nx), so a negative index wraps once, and
+            # int32 holds it (nx < 2**31) in half the D x D index of intp
+            i = i.astype(np.int32)
             m[:n, :n] = self.g[i[:, None] - i, j[:, None], j]
             m[:n, n] = self.ALPHA * g0[j, top]  # ALPHA (G 1_top)_R
             m[n, :n] = g0[top, j] / nx  # mean_top(G e_r)
@@ -336,8 +353,9 @@ def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
     > 1 and there are two calls or more.
 
     Worth it only for calls that release the GIL for most of their time, as
-    SuperLU does: `estimate_c1` fans out its `solve_w1` fallbacks through it,
-    `run_sweep` its reference solves.
+    SuperLU does: `estimate_c1` fans out the `solve_w1` samples of a cell
+    too large for a Green's table through it, `run_sweep` its reference
+    solves.
     """
     if threads > 1 and n > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -345,49 +363,47 @@ def map_realizations(fn: Callable[[int], object], n: int, threads: int) -> list:
     return [fn(j) for j in range(n)]
 
 
+def c1_sampler(cfg: CorrectorConfig) -> tuple[Callable[[ParticleConfiguration], float], bool]:
+    """(sample, tabled): the c1 sample of one realization of cfg's cell, and
+    whether it comes from the Green's table.
+
+    The one choice of a W1 path for a c1 value, made once per cell from the
+    table's size: the capacitance solve on the cell's `_GreenTable` when
+    that holds at most `_GreenTable.MAX_ENTRIES` entries, else `solve_w1`.
+    An empty realization raises SingularSystem on both paths.
+    """
+    table = _GreenTable.build(cfg)
+    if table is None:
+        return (lambda config: solve_w1(cfg, config).c1), False
+    return (lambda config: table.c1(classify_nodes(table.grid, config, scale=1.0))), True
+
+
 def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
                 threads: int = 1) -> C1Estimate:
     """Monte-Carlo mean of the W1 trace average over independent realizations.
 
     Realization j always uses the RNG stream keyed by (master_seed, j), so
-    the estimate is independent of worker count and scheduling order. A
-    sample is a capacitance solve on the Green's table (`_GreenTable`),
-    built here once and released on return. The capacitance samples run one
-    after another on the calling thread: each is a few small numpy steps
-    that hold the GIL, so threads would only add overhead. A realization
-    with more than `_GreenTable.RING_MAX` ring nodes, and every one of a
-    cell whose table would exceed `_GreenTable.MAX_ENTRIES`, is solved by
-    `solve_w1` instead; those fallbacks alone are fanned out on `threads`
-    worker threads (`map_realizations`), since SuperLU releases the GIL.
-    Fails if more than 10% of the samples, on either path, are singular or
-    non-convergent; an allocation failure raises FactorTooLarge and is no
-    failed sample.
+    the estimate is independent of worker count and scheduling order. Every
+    sample of the cell takes the path `c1_sampler` chooses. On the Green's
+    table, built here once and released on return, the samples run one after
+    another on the calling thread: each is a few small numpy steps that hold
+    the GIL, so threads would only add overhead. A cell too large for a
+    table is solved by `solve_w1`, fanned out on `threads` worker threads
+    (`map_realizations`), since SuperLU releases the GIL. Fails if more than
+    10% of the samples are singular or non-convergent; an allocation failure
+    raises FactorTooLarge and is no failed sample.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 (std_err undefined otherwise)")
-    table = _GreenTable.build(cfg)
+    sample, tabled = c1_sampler(cfg)
 
-    raw: list[float | None] = [None] * n_samples
-    routed: list[tuple[int, ParticleConfiguration]] = []  # the solve_w1 samples
-    for j in range(n_samples):
-        config = sample_matern(cfg.process, cfg.layer, master_seed, stream=j)
+    def one(j: int) -> float | None:
         try:
-            raw[j] = None if table is None else table.c1(
-                classify_nodes(table.grid, config, scale=1.0))
-        except (SingularSystem, NoConvergence):
-            continue
-        if raw[j] is None:
-            routed.append((j, config))
-
-    def fallback(k: int) -> float | None:
-        try:
-            return solve_w1(cfg, routed[k][1]).c1
+            return sample(sample_matern(cfg.process, cfg.layer, master_seed, stream=j))
         except (SingularSystem, NoConvergence):
             return None
 
-    for (j, _), value in zip(routed, map_realizations(fallback, len(routed), threads)):
-        raw[j] = value
-
+    raw = map_realizations(one, n_samples, 1 if tabled else threads)
     values = [v for v in raw if v is not None]
     n_fail = n_samples - len(values)
     if n_fail > 0.1 * n_samples:
@@ -409,7 +425,7 @@ def estimate_c1(cfg: CorrectorConfig, n_samples: int, master_seed: int,
         history.append((idx, float(v), float(rmean), rse))
     return C1Estimate(mean=mean, std_err=std_err, n_samples=len(arr),
                       cell_width=cfg.layer.width, history=tuple(history), n_failures=n_fail,
-                      n_solve_w1=len(routed))
+                      n_solve_w1=0 if tabled else n_samples)
 
 
 def decay_profile(w1: CorrectorSolution, c1: float) -> list[tuple[float, float, float, float]]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corrector import (C1Estimate, CorrectorConfig, decay_profile, estimate_c1,
+from .corrector import (C1Estimate, CorrectorConfig, c1_sampler, decay_profile, estimate_c1,
                         export_c1_history, export_decay_profile, map_realizations,
                         solve_w1)
 from .errors import (ConfigError, DegenerateFit, HelmlayerError, NoConvergence,
@@ -230,8 +230,9 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
     Writes c1_history.csv (per-sample running statistics at the configured
     width), c1_width.csv (Monte-Carlo estimates at width/2, width, 2*width,
     the width row being the history's, plus single-realization ergodic
-    values at 4*width and 8*width), and
-    provenance.json. Needs n_samples >= 2: one sample has no standard error.
+    values at 4*width and 8*width, each on the W1 path `c1_sampler` picks
+    for its cell), and provenance.json. Needs n_samples >= 2: one sample has
+    no standard error.
     """
     if config.n_samples < 2:
         raise ConfigError(f"the c1 study needs n_samples >= 2, not {config.n_samples}")
@@ -252,7 +253,7 @@ def run_c1_study(config: ExperimentConfig, threads: int = 1) -> C1Estimate:
             cfg_w = config.corrector_config(width=w * factor)
             realization = sample_matern(cfg_w.process, cfg_w.layer,
                                         config.master_seed, stream=0)
-            value = solve_w1(cfg_w, realization).c1
+            value = c1_sampler(cfg_w)[0](realization)
             fh.write(f"{w * factor!r},1,{value!r},\n")
     _write_json(_provenance(config, {"c1": _c1_record(est)}), out / "provenance.json")
     return est

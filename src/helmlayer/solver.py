@@ -3,9 +3,8 @@
 Every system is solved in complex128: the Helmholtz reference solve, and the
 real W1 corrector (k = 0), whose field `corrector.solve_w1` takes as the
 real part of the solution. A c1 sample reaches SuperLU only through
-`solve_w1`, when its particles' boundary is too large for the capacitance
-solve; the Green's table (`corrector`) shares only the strip recursion,
-`sweep_strip`.
+`solve_w1`, on a cell too large for the capacitance solve's Green's table
+(`corrector`), which shares only the strip recursion, `sweep_strip`.
 
 Only the particle band is factored. Above the particles every row of the
 assembled operator is the same five-point stencil across the grid, and the

@@ -5,7 +5,7 @@ import pytest
 
 from helmlayer import (FactorTooLarge, LayerSpec, ParticleConfiguration,
                        PointProcessParams, SingularSystem, corrector, sample_matern)
-from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, _GreenTable,
+from helmlayer.corrector import (CorrectorConfig, CorrectorSolution, _GreenTable, c1_sampler,
                                  decay_profile, estimate_c1, export_c1_history, solve_w1)
 from helmlayer.grid import classify_nodes
 
@@ -152,6 +152,14 @@ def test_estimate_c1_does_not_count_a_factor_too_large_as_a_failed_sample(small_
             patch.setattr(np.linalg, allocation, out_of_memory)
             with pytest.raises(FactorTooLarge):
                 estimate_c1(_cfg(small_layer), 4, master_seed=0, threads=2)
+    # a cell too large for a table factors each realization in solve_w1, on
+    # worker threads
+    import scipy.sparse.linalg as spla
+
+    monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", 0)
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    with pytest.raises(FactorTooLarge):
+        estimate_c1(_cfg(small_layer), 4, master_seed=0, threads=2)
 
 
 CAPACITANCE_RTOL = 1e-11
@@ -169,7 +177,8 @@ def _capacitance_against_solve_w1(cfg, config):
     (50.0, range(1, 3), 0.2),
     (20.0, range(1, 3), 0.1),
     (20.3, range(1, 4), 0.2),  # nx = 102, dx = 0.199
-], ids=["w20", "w50", "dx0.1", "w20.3"])
+    (100.0, range(1, 3), 0.2),  # the cell of acceptance criterion 6's c1
+], ids=["w20", "w50", "dx0.1", "w20.3", "w100"])
 def test_capacitance_sample_matches_solve_w1(width, seeds, target_dx):
     layer = LayerSpec(h=5.0, delta=0.05, width=width)
     cfg = _cfg(layer, rho=0.4, target_dx=target_dx)
@@ -203,14 +212,14 @@ def test_capacitance_sample_keeps_every_row_under_a_low_cell_top():
     _capacitance_against_solve_w1(cfg, sample_matern(cfg.process, layer, 3))
 
 
-def _estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch):
+def _estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch, threads=2):
     draw = corrector.sample_matern
 
     def empty_stream_3(process, layer, seed, stream=0):
         return empty_realization if stream == 3 else draw(process, layer, seed, stream=stream)
 
     monkeypatch.setattr(corrector, "sample_matern", empty_stream_3)
-    return estimate_c1(cfg, 10, master_seed=5, threads=2)
+    return estimate_c1(cfg, 10, master_seed=5, threads=threads)
 
 
 def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_realization,
@@ -220,81 +229,58 @@ def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_rea
     with pytest.raises(SingularSystem):
         table.c1(classify_nodes(table.grid, empty_realization))
     est = _estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch)
-    assert (est.n_samples, est.n_failures) == (9, 1)
+    assert (est.n_samples, est.n_failures, est.n_solve_w1) == (9, 1, 0)
 
 
 def test_empty_realization_is_a_failed_solve_w1_sample(small_layer, empty_realization,
                                                        monkeypatch):
-    # with no Green's table every sample goes to solve_w1, which rejects the
-    # empty realization: a failed sample, not a crash
+    # with no Green's table every sample goes to solve_w1 on the worker threads,
+    # which rejects the empty realization: a failed sample, not a crash, and the
+    # same estimate, every field bit for bit, at any thread count
     monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", 0)
-    est = _estimate_with_stream_3_empty(_cfg(small_layer), empty_realization, monkeypatch)
-    assert (est.n_samples, est.n_failures) == (9, 1)
+    a, b, c = (_estimate_with_stream_3_empty(_cfg(small_layer), empty_realization,
+                                             monkeypatch, threads=t) for t in (1, 2, 4))
+    assert a == b == c
+    assert (a.n_samples, a.n_failures, a.n_solve_w1) == (9, 1, 10)
 
 
-def test_estimate_c1_leaves_large_rings_and_tables_to_solve_w1(small_layer, monkeypatch):
-    # the dense solve grows as the cube of the ring: a realization with more
-    # than RING_MAX ring nodes, and every realization of a cell whose table
-    # would exceed MAX_ENTRIES entries, is solved by solve_w1
+def test_estimate_c1_takes_one_path_per_cell_from_the_table_size(small_layer, monkeypatch):
+    # a table of MAX_ENTRIES entries takes every sample, whatever its ring; one
+    # entry more sends every sample to solve_w1
     cfg = _cfg(small_layer)
     table = _GreenTable(cfg)
     realizations = [sample_matern(cfg.process, small_layer, 0, stream=j) for j in range(4)]
-    masks = [classify_nodes(table.grid, r) for r in realizations]
-    capacitance = [table.c1(mask) for mask in masks]
+    capacitance = [table.c1(classify_nodes(table.grid, r)) for r in realizations]
     oracle = [solve_w1(cfg, r).c1 for r in realizations]
-    monkeypatch.setattr(_GreenTable, "RING_MAX", 120)  # the rings hold 104 to 182 nodes
-    routed = [table.c1(mask) is None for mask in masks]
-    assert any(routed) and not all(routed)
-    est = estimate_c1(cfg, 4, master_seed=0, threads=2)
-    assert [row[1] for row in est.history] == [
-        w1 if to_w1 else cap for cap, w1, to_w1 in zip(capacitance, oracle, routed)]
+    assert capacitance != oracle  # the paths differ at round-off, so the test tells them apart
     monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", table.g.size)
-    assert _GreenTable.build(cfg).g.size == table.g.size
+    est = estimate_c1(cfg, 4, master_seed=0, threads=2)
+    assert ([row[1] for row in est.history], est.n_solve_w1) == (capacitance, 0)
     monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", table.g.size - 1)
-    assert _GreenTable.build(cfg) is None
-    assert [row[1] for row in estimate_c1(cfg, 4, master_seed=0).history] == oracle
+    est = estimate_c1(cfg, 4, master_seed=0, threads=2)
+    assert ([row[1] for row in est.history], est.n_solve_w1) == (oracle, 4)
 
 
-def _routed_streams(cfg, streams):
-    # the streams of master seed 5 whose ring exceeds RING_MAX, so that solve_w1 takes them
-    table = _GreenTable(cfg)
-    return [j for j in streams if table.c1(classify_nodes(
-        table.grid, sample_matern(cfg.process, cfg.layer, 5, stream=j))) is None]
-
-
-def test_estimate_c1_split_path_is_independent_of_threads(small_layer, empty_realization,
-                                                          monkeypatch):
-    # capacitance samples on the calling thread, solve_w1 fallbacks fanned out,
-    # and an empty stream that fails on the capacitance path
-    cfg = _cfg(small_layer)
-    monkeypatch.setattr(_GreenTable, "RING_MAX", 140)
-    routed = _routed_streams(cfg, [j for j in range(10) if j != 3])
-    assert 2 <= len(routed) <= 7  # both paths take two samples or more
-    draw = corrector.sample_matern
-
-    def empty_stream_3(process, layer, seed, stream=0):
-        return empty_realization if stream == 3 else draw(process, layer, seed, stream=stream)
-
-    monkeypatch.setattr(corrector, "sample_matern", empty_stream_3)
-    a, b, c = (estimate_c1(cfg, 10, master_seed=5, threads=t) for t in (1, 2, 4))
-    assert a == b == c  # every field, the history included, bit for bit
-    assert (a.n_samples, a.n_failures, a.n_solve_w1) == (9, 1, len(routed))
+@pytest.mark.parametrize("h, widest", [(5.0, 109.6), (10.0, 29.4), (20.0, 7.6)])
+def test_table_cells_end_at_the_measured_width_limit(h, widest):
+    # MAX_ENTRIES is the measured crossover (see _GreenTable): at dx 0.2 the
+    # widest table cell of each height, and one grid column more goes to solve_w1
+    for width, tabled in ((widest, True), (widest + 0.2, False)):
+        assert c1_sampler(_cfg(LayerSpec(h=h, delta=0.05, width=width)))[1] == tabled
 
 
 class _NoPool(Exception):
     pass
 
 
-def test_estimate_c1_starts_threads_only_for_solve_w1_fallbacks(small_layer, monkeypatch):
+def test_estimate_c1_starts_threads_only_on_a_solve_w1_cell(small_layer, monkeypatch):
     def no_pool(*args, **kwargs):
         raise _NoPool
 
     cfg = _cfg(small_layer)
     monkeypatch.setattr(corrector, "ThreadPoolExecutor", no_pool)
-    est = estimate_c1(cfg, 4, master_seed=5, threads=2)  # every ring fits
-    assert est.n_solve_w1 == 0
-    monkeypatch.setattr(_GreenTable, "RING_MAX", 140)
-    assert len(_routed_streams(cfg, range(4))) >= 2  # a pool of one call is not started
+    assert estimate_c1(cfg, 4, master_seed=5, threads=2).n_solve_w1 == 0  # a table cell
+    monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", 0)
     with pytest.raises(_NoPool):
         estimate_c1(cfg, 4, master_seed=5, threads=2)
 

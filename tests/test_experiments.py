@@ -12,7 +12,7 @@ import pytest
 from helmlayer import (ConfigError, DegenerateFit, InvalidLayer, LayerSpec,
                        ParticleConfiguration, experiments, sample_matern, solve_w1)
 from helmlayer.cli import main
-from helmlayer.corrector import _GreenTable, estimate_c1
+from helmlayer.corrector import _GreenTable, c1_sampler, estimate_c1
 from helmlayer.experiments import (DEFAULT_CONFIG, ExperimentConfig, fit_rate, run_c1_study,
                                    run_sweep, run_validate)
 from helmlayer.grid import classify_nodes
@@ -141,10 +141,15 @@ def test_c1_study_moves_every_sample_to_the_requested_interface(tmp_path):
     table = _GreenTable(first)
     assert est.history[0][1] == table.c1(classify_nodes(table.grid, realization))
     assert est.history[0][1] == pytest.approx(w1.c1, rel=CAPACITANCE_RTOL, abs=0.0)
+    # the 8x row, one realization, takes the path c1_sampler chooses for its cell
     widest = config.corrector_config(width=96.0)
-    w1 = solve_w1(widest, sample_matern(widest.process, widest.layer, 77, stream=0))
+    realization = sample_matern(widest.process, widest.layer, 77, stream=0)
+    sample, tabled = c1_sampler(widest)
+    value = sample(realization)
     last = (tmp_path / "out" / "c1_width.csv").read_text().splitlines()[-1]
-    assert last == f"96.0,1,{w1.c1!r},"
+    assert tabled and last == f"96.0,1,{value!r},"
+    assert value == pytest.approx(solve_w1(widest, realization).c1, rel=CAPACITANCE_RTOL,
+                                  abs=0.0)
 
 
 def test_c1_study_reuses_its_estimate_for_the_configured_width(tmp_path, monkeypatch):

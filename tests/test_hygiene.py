@@ -1,7 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses, and
 only the sparse layer imports scipy, when it first builds or factors a system
-(`solve_w1` and the reference solve; a c1 estimate whose rings stay under
-`RING_MAX` never does)."""
+(`solve_w1` and the reference solve; a c1 estimate on a cell whose Green's
+table fits `_GreenTable.MAX_ENTRIES` never does)."""
 
 import ast
 import os
@@ -109,8 +109,12 @@ ExperimentConfig.from_dict({})
 cfg = CorrectorConfig(layer=layer, process=process)
 assert main(["--out", sys.argv[1], "sample"]) == 0
 assert scipy_modules() == [], scipy_modules()
-# the c1 estimate, the capacitance-matrix path, needs numpy only
+# the c1 estimate, the capacitance-matrix path, needs numpy only, on every
+# realization of a table cell: at width 100 too, whose rings hold 700 nodes or more
 assert estimate_c1(cfg, 3, master_seed=1).n_failures == 0
+wide = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=100.0),
+                       process=PointProcessParams(rho=0.4))
+assert estimate_c1(wide, 2, master_seed=1).n_solve_w1 == 0
 assert scipy_modules() == [], scipy_modules()
 solve_w1(cfg, realization)
 assert "scipy.sparse.linalg" in sys.modules

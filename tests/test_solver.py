@@ -364,7 +364,8 @@ def test_interface_gmres_cap_raises_no_convergence(monkeypatch):
         solve(system)
 
 
-def test_wide_cell_c1_is_bit_identical_across_threads():
+def test_wide_cell_c1_is_bit_identical_across_threads(monkeypatch):
+    monkeypatch.setattr(corrector._GreenTable, "MAX_ENTRIES", 0)  # every sample on SuperLU
     cfg = CorrectorConfig(layer=LayerSpec(h=5.0, delta=0.05, width=130.0),
                           process=PointProcessParams(rho=0.4), H=7.0, L_cell=12.0,
                           target_dx=0.2)
