@@ -234,14 +234,25 @@ def test_empty_realization_is_a_failed_capacitance_sample(small_layer, empty_rea
 
 def test_empty_realization_is_a_failed_solve_w1_sample(small_layer, empty_realization,
                                                        monkeypatch):
-    # with no Green's table every sample goes to solve_w1 on the worker threads,
-    # which rejects the empty realization: a failed sample, not a crash, and the
-    # same estimate, every field bit for bit, at any thread count
+    # with no Green's table every sample goes to solve_w1, which rejects the
+    # empty realization: a failed sample, not a crash
     monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", 0)
-    a, b, c = (_estimate_with_stream_3_empty(_cfg(small_layer), empty_realization,
-                                             monkeypatch, threads=t) for t in (1, 2, 4))
-    assert a == b == c
-    assert (a.n_samples, a.n_failures, a.n_solve_w1) == (9, 1, 10)
+    est = _estimate_with_stream_3_empty(_cfg(small_layer), empty_realization, monkeypatch)
+    assert (est.n_samples, est.n_failures, est.n_solve_w1) == (9, 1, 10)
+
+
+def test_estimate_c1_split_path_is_independent_of_threads(small_layer, empty_realization,
+                                                          monkeypatch):
+    # either side of the per-cell split, a table cell on the calling thread or
+    # a solve_w1 cell on the worker threads, gives the same estimate, every
+    # field bit for bit, at any thread count, with the empty stream a failure
+    cfg = _cfg(small_layer)
+    for max_entries, n_solve_w1 in ((_GreenTable.MAX_ENTRIES, 0), (0, 10)):
+        monkeypatch.setattr(_GreenTable, "MAX_ENTRIES", max_entries)
+        a, b, c = (_estimate_with_stream_3_empty(cfg, empty_realization, monkeypatch,
+                                                 threads=t) for t in (1, 2, 4))
+        assert a == b == c
+        assert (a.n_samples, a.n_failures, a.n_solve_w1) == (9, 1, n_solve_w1)
 
 
 def test_estimate_c1_takes_one_path_per_cell_from_the_table_size(small_layer, monkeypatch):
